@@ -242,6 +242,13 @@ ServedOutcome RunServed(
   return outcome;
 }
 
+/// Deletes `path` when it leaves scope, so every exit path of main
+/// cleans up the temp sketch file.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -291,6 +298,7 @@ int main(int argc, char** argv) {
   }
   const Engine& engine = *built;
   const std::string sketch_path = "micro_serve_tmp.ifsk";
+  const RemoveOnExit remove_sketch{sketch_path};
   if (!engine.Save(sketch_path)) {
     std::fprintf(stderr, "error: cannot write %s\n", sketch_path.c_str());
     return 1;
@@ -581,8 +589,6 @@ int main(int argc, char** argv) {
     reactor.StopAccepting();
     reactor.WaitDrained();
   }
-
-  std::remove(sketch_path.c_str());
 
   std::FILE* out =
       out_path.empty() ? stdout : std::fopen(out_path.c_str(), "w");

@@ -15,8 +15,11 @@
 // (serve/protocol.h) through the epoll reactor (serve/reactor.h):
 // --loop-threads event loops multiplex every connection, clients may
 // pipeline many request frames per connection (replies come back in
-// request order), and heavy work runs on the dispatch pool + query
-// thread pool so a loop never blocks. Concurrent requests for the same
+// request order), and each loop answers the requests it reads itself,
+// fanning kernels out over the query thread pool; only subscribe
+// long-polls wait on a separate dispatch pool. A heavy request thus
+// delays the other connections on its loop, never those on other
+// loops (one loop per core by default). Concurrent requests for the same
 // sketch coalesce into fused Engine batches in the router, and a
 // replica that fails is failed over transparently. Sketch files load on
 // first use and stay resident under the per-pod byte budget (LRU

@@ -39,11 +39,12 @@ constexpr int kMaxIov = 64;
 }  // namespace
 
 struct ReactorServer::Impl {
-  /// One reply slot, created at frame arrival in request order. A
-  /// dispatch worker fills it (done flips under mu); the loop writes the
-  /// done prefix of the deque. Slots are only popped after being fully
-  /// written, and deque push/pop at the ends never moves other elements,
-  /// so a worker's slot pointer stays valid for the task's lifetime.
+  /// One reply slot, created at frame arrival in request order. The loop
+  /// thread fills it inline, or a dispatch worker does for a kSubscribe
+  /// (done flips under mu); the loop writes the done prefix of the
+  /// deque. Slots are only popped after being fully written, and deque
+  /// push/pop at the ends never moves other elements, so a worker's slot
+  /// pointer stays valid for the task's lifetime.
   struct PendingReply {
     bool done = false;
     char header[kFrameHeaderBytes];
@@ -275,11 +276,11 @@ struct ReactorServer::Impl {
           auto it = loop.conns.find(raw->fd);
           if (it == loop.conns.end() || it->second.get() != raw) continue;
           std::shared_ptr<Conn> conn = it->second;
+          bool flush = (events[i].events & EPOLLOUT) != 0;
           if (events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
-            HandleReadable(loop, conn);
+            flush |= HandleReadable(loop, conn);
           }
-          if (loop.closed_in_batch.count(raw) == 0 &&
-              (events[i].events & EPOLLOUT)) {
+          if (flush && loop.closed_in_batch.count(raw) == 0) {
             TryFlush(loop, conn);
           }
         }
@@ -388,20 +389,24 @@ struct ReactorServer::Impl {
     }
   }
 
-  void HandleReadable(Loop& loop, const std::shared_ptr<Conn>& conn) {
+  /// Reads and answers what the socket holds, up to kReadBudget. True
+  /// when the caller must TryFlush: replies completed inline, or the
+  /// connection paused and its interest needs re-arming.
+  bool HandleReadable(Loop& loop, const std::shared_ptr<Conn>& conn) {
     char buf[kReadChunk];
     std::size_t total = 0;
+    bool answered = false;
     for (;;) {
       const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
       if (n < 0) {
         if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return answered;
         CloseConn(loop, conn);
-        return;
+        return false;
       }
       if (n == 0) {
         OnReadEof(loop, conn);
-        return;
+        return false;
       }
       std::size_t off = 0;
       bool malformed = false;
@@ -423,14 +428,25 @@ struct ReactorServer::Impl {
           slot = &conn->pending.back();
           ++conn->inflight;
         }
-        Submit(conn, slot, std::move(frame));
+        if (frame.header.opcode == Opcode::kSubscribe) {
+          // The one opcode allowed to block (a long-poll of up to
+          // kMaxSubscribeTimeoutMs): park it on the pool, never the loop.
+          Submit(conn, slot, std::move(frame));
+        } else {
+          // Run to completion here: no handoff, no second wakeup. The
+          // caller flushes once per read pass, so a pipelined burst
+          // still leaves in one sendmsg.
+          Complete(loop, *conn, slot,
+                   DispatchRequest(router, frame.header.opcode, frame.body));
+          answered = true;
+        }
       }
       if (malformed) {
         // Same contract as the blocking loop: answer what was already
         // read (the slots ahead in the deque), then one kError, then
         // close. Bytes after the malformed frame are never interpreted.
         FailConnRead(loop, conn, "malformed frame");
-        return;
+        return false;
       }
       bool pause = false;
       {
@@ -439,13 +455,13 @@ struct ReactorServer::Impl {
                 conn->outbound_bytes >= options.pause_outbound_bytes;
         conn->paused = pause;
       }
-      if (pause) {
-        UpdateInterest(loop, conn.get());
-        return;
-      }
+      // TryFlush re-arms interest from `paused` (and lifts it again if
+      // the inline replies drain the queue).
+      if (pause) return true;
       total += static_cast<std::size_t>(n);
-      if (static_cast<std::size_t>(n) < sizeof(buf)) return;  // drained
-      if (total >= kReadBudget) return;  // yield; epoll re-reports
+      // Drained, or over budget (yield; epoll re-reports the rest).
+      if (static_cast<std::size_t>(n) < sizeof(buf)) return answered;
+      if (total >= kReadBudget) return answered;
     }
   }
 
@@ -667,42 +683,47 @@ struct ReactorServer::Impl {
 
   void RunRequest(std::shared_ptr<Conn> conn, PendingReply* slot,
                   Frame frame) {
-    ReplyFrame reply =
-        DispatchRequest(router, frame.header.opcode, frame.body);
     Loop& loop = *loops[conn->loop];
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      slot->body = std::move(reply.body);
-      if (!EncodeFrameHeader(reply.opcode, reply.status,
-                             static_cast<std::uint32_t>(slot->body.size()),
-                             slot->header)) {
-        // A reply body over kMaxBodyBytes cannot be framed (possible
-        // only for a pathological stats snapshot); degrade to an error
-        // reply rather than emit an unparseable frame.
-        slot->body.clear();
-        EncodeErrorBody("reply exceeds frame limit", &slot->body);
-        EncodeFrameHeader(Opcode::kError,
-                          static_cast<std::uint8_t>(Status::kInternal),
-                          static_cast<std::uint32_t>(slot->body.size()),
-                          slot->header);
-      }
-      slot->done = true;
-      --conn->inflight;
-      if (!conn->dead) {
-        const std::size_t sz = kFrameHeaderBytes + slot->body.size();
-        conn->outbound_bytes += sz;
-        loop.g_outbound->Add(static_cast<std::int64_t>(sz));
-        if (options.max_outbound_bytes != 0 &&
-            conn->outbound_bytes > options.max_outbound_bytes) {
-          conn->overflow = true;
-        }
-      }
-    }
+    Complete(loop, *conn, slot,
+             DispatchRequest(router, frame.header.opcode, frame.body));
     {
       std::lock_guard<std::mutex> lock(loop.inbox_mu);
       loop.completions.push_back(std::move(conn));
     }
     Wake(loop);
+  }
+
+  /// Fills `slot` with `reply` and books its bytes against the outbound
+  /// caps. Any thread; the loop writes the slot once it is in the done
+  /// prefix.
+  void Complete(Loop& loop, Conn& conn, PendingReply* slot,
+                ReplyFrame reply) {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    slot->body = std::move(reply.body);
+    if (!EncodeFrameHeader(reply.opcode, reply.status,
+                           static_cast<std::uint32_t>(slot->body.size()),
+                           slot->header)) {
+      // A reply body over kMaxBodyBytes cannot be framed (possible only
+      // for a pathological stats snapshot); degrade to an error reply
+      // rather than emit an unparseable frame.
+      slot->body.clear();
+      EncodeErrorBody("reply exceeds frame limit", &slot->body);
+      EncodeFrameHeader(Opcode::kError,
+                        static_cast<std::uint8_t>(Status::kInternal),
+                        static_cast<std::uint32_t>(slot->body.size()),
+                        slot->header);
+    }
+    slot->done = true;
+    --conn.inflight;
+    if (!conn.dead) {
+      const std::size_t sz = kFrameHeaderBytes + slot->body.size();
+      conn.outbound_bytes += sz;
+      loop.g_outbound->Add(static_cast<std::int64_t>(sz));
+      if (options.max_outbound_bytes != 0 &&
+          conn.outbound_bytes > options.max_outbound_bytes) {
+        conn.overflow = true;
+      }
+    }
   }
 };
 

@@ -13,23 +13,32 @@
 //     connection's fd or epoll registration; everything cross-thread
 //     moves through the loop's inbox + eventfd. Loop 0 additionally
 //     owns the non-blocking listener.
-//   - Dispatch workers (a small private pool). Frames decoded by a loop
-//     are handed here to run DispatchRequest -- acquire, routing,
-//     kernels -- so an event loop never blocks on heavy work. Kernel
-//     fan-out inside a request still runs on util::ThreadPool (the
-//     router's ParallelFor has the caller participate, so workers make
-//     progress rather than wait). A kSubscribe long-poll parks its
-//     worker for up to the request timeout; size the pool above the
-//     expected concurrent subscriber count if that matters.
+//   - Run to completion. A loop thread answers every request it decodes
+//     itself -- DispatchRequest's acquire, routing and kernels run
+//     inline -- and flushes the replies of one read pass with one
+//     sendmsg, so a request costs no thread handoff and no second
+//     wakeup. Kernel fan-out inside a request still runs on
+//     util::ThreadPool, with the loop thread taking part (the router's
+//     ParallelFor has the caller participate).
+//     Trade-off: a heavy request (a large batch, a sketch load on a pod
+//     cache miss) delays the other connections on its own loop until it
+//     finishes; connections on other loops are unaffected, and loops
+//     default to one per core.
+//   - Dispatch workers (a small private pool) run only kSubscribe, the
+//     one opcode whose contract allows blocking: a long-poll parks its
+//     worker for up to the request timeout, never a loop thread. Size
+//     the pool above the expected concurrent subscriber count if that
+//     matters.
 //
 // Pipelining (the protocol.h contract): each connection keeps an ordered
-// deque of reply slots, one per request frame in arrival order. Requests
-// may complete on workers in any order -- queries are read-only, answers
-// are order-independent -- but the loop only ever writes the completed
+// deque of reply slots, one per request frame in arrival order. A
+// SUBSCRIBE on a worker may complete after the requests behind it,
+// which complete inline, but the loop only ever writes the completed
 // prefix of the deque, so replies hit the wire strictly in request
-// order. Completed replies go out with writev, headers and bodies as
-// separate spans straight from the slots: batched answers are never
-// copied into a staging buffer.
+// order.
+// Completed replies go out with writev, headers and bodies as separate
+// spans straight from the slots: batched answers are never copied into
+// a staging buffer.
 //
 // Backpressure, two bounds per connection (ReactorOptions):
 //   - max_outstanding / pause_outbound_bytes: the loop stops reading
@@ -64,7 +73,9 @@ namespace ifsketch::serve {
 struct ReactorOptions {
   /// Event-loop threads; 0 = hardware concurrency.
   std::size_t loop_threads = 0;
-  /// Dispatch workers; 0 = max(4, loop threads).
+  /// Dispatch workers, which run only kSubscribe long-polls (every other
+  /// request runs on its loop thread), so this is how many SUBSCRIBEs
+  /// can wait at once, later ones queue; 0 = max(4, loop threads).
   std::size_t dispatch_threads = 0;
   /// Concurrent-connection cap, enforced by reject-at-accept; 0 = no cap.
   std::size_t max_connections = 0;

@@ -9,6 +9,11 @@
 //     refused (unknown-sketch) request in the middle.
 //   - A heavy first request never lets the cheap requests behind it
 //     overtake: replies are strictly ordered even when execution is not.
+//   - Every opcode but SUBSCRIBE runs to completion on the loop thread
+//     that decoded it; SUBSCRIBE long-polls park on the dispatch pool.
+//     With one loop thread, a parked SUBSCRIBE delays no other
+//     connection's queries, and on its own connection the queries
+//     pipelined behind it finish first yet reach the wire after it.
 //   - A slow client delivering the same pipeline one byte per write
 //     gets the same replies; a half-close (shutdown of the write side)
 //     after the pipeline still yields every reply and then a clean EOF;
@@ -34,6 +39,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -280,9 +286,9 @@ TEST(ServeReactorTest, PipelinedRepliesAreOrderedAndMatchSerialLoopback) {
 TEST(ServeReactorTest, HeavyFirstRequestNeverReordersReplies) {
   Rig rig = MakeRig("reactor_heavy", 12);
   std::vector<Step> steps;
-  // A 20k-query batch followed by 16 trivial info requests: the cheap
-  // ones finish on the dispatch pool long before the heavy one, and
-  // must still wait their turn on the wire.
+  // A 20k-query batch followed by 16 trivial info requests, all in one
+  // write: the loop answers them in arrival order within one read pass,
+  // and every reply must still leave in request order.
   steps.push_back(EstimateStep("s", SomeQueries(*rig.direct, 20000, 90)));
   std::string info_body;
   ASSERT_TRUE(EncodeInfoRequest("s", &info_body));
@@ -302,6 +308,152 @@ TEST(ServeReactorTest, HeavyFirstRequestNeverReordersReplies) {
   for (const Step& step : steps) wire += step.frame;
   ASSERT_TRUE(transport->WriteAll(wire.data(), wire.size()));
   ExpectReplies(*transport, steps, reference);
+}
+
+/// Direct Engine answers for `queries` -- what a served estimate must
+/// match bit for bit.
+std::vector<double> DirectAnswers(
+    const Engine& engine,
+    const std::vector<std::vector<std::uint32_t>>& queries) {
+  std::vector<core::Itemset> ts;
+  for (const auto& attrs : queries) {
+    core::Itemset t(engine.d());
+    for (std::uint32_t a : attrs) t.Add(a);
+    ts.push_back(std::move(t));
+  }
+  std::vector<double> answers;
+  engine.estimate_many(ts, &answers);
+  return answers;
+}
+
+/// Dispatches of `op` that have finished (the request trace records its
+/// total span as DispatchRequest returns).
+std::uint64_t FinishedRequests(obs::MetricsRegistry& registry,
+                               const char* op) {
+  return registry
+      .GetHistogram(obs::LabeledName("serve_request_ns", "op", op))
+      ->Snapshot()
+      .count;
+}
+
+TEST(ServeReactorTest, ParkedSubscribeDelaysNoOtherConnection) {
+  Rig rig = MakeRig("reactor_parked", 22);
+  ReactorOptions options;
+  options.loop_threads = 1;  // both connections share the one loop
+  ReactorServer reactor(*rig.router, options);
+  ASSERT_TRUE(reactor.Listen(0));
+
+  // Connection A long-polls for an epoch nobody has published yet.
+  std::atomic<bool> subscribed{false};
+  std::optional<SnapshotInfo> woke;
+  std::thread waiter([&] {
+    SketchClient a(TcpConnect(reactor.port()));
+    woke = a.Subscribe("live", 1, 60000);
+    subscribed.store(true);
+  });
+  EXPECT_TRUE(PollUntil([&] {
+    return rig.registry
+               ->GetCounter(obs::LabeledName("serve_requests_total", "op",
+                                             "subscribe"))
+               ->Value() == 1;
+  }));
+
+  // Connection B on the same loop is answered while A stays parked, and
+  // every answer is the direct Engine answer bit for bit. (A lambda, so
+  // a failed ASSERT still reaches the publish that frees the waiter.)
+  [&] {
+    SketchClient b(TcpConnect(reactor.port()));
+    for (std::uint64_t round = 0; round < 20; ++round) {
+      const auto queries = SomeQueries(*rig.direct, 16, 100 + round);
+      const auto served = b.EstimateMany("s", queries);
+      ASSERT_TRUE(served.has_value()) << b.last_error();
+      EXPECT_EQ(*served, DirectAnswers(*rig.direct, queries));
+    }
+    ASSERT_TRUE(b.Info("s").has_value()) << b.last_error();
+  }();
+  EXPECT_FALSE(subscribed.load());
+
+  // Only a publish releases A.
+  rig.router->Publish("live", rig.direct, 600);
+  waiter.join();
+  ASSERT_TRUE(woke.has_value());
+  EXPECT_EQ(woke->epoch, 2u);
+}
+
+/// SUBSCRIBE then `estimates` ESTIMATE frames in one write on one
+/// connection to a one-loop reactor. Returns the queries of each
+/// ESTIMATE; the replies are left on `transport`.
+std::vector<std::vector<std::vector<std::uint32_t>>> PipelineBehindSubscribe(
+    const Rig& rig, Transport& transport, std::uint32_t timeout_ms,
+    int estimates) {
+  std::string wire;
+  std::string body;
+  EXPECT_TRUE(EncodeSubscribeRequest({"live", 1, timeout_ms}, &body));
+  wire += FrameOf(Opcode::kSubscribe, body);
+  std::vector<std::vector<std::vector<std::uint32_t>>> batches;
+  for (int i = 0; i < estimates; ++i) {
+    batches.push_back(SomeQueries(*rig.direct, 16, 200 + i));
+    wire += EstimateStep("s", batches.back()).frame;
+  }
+  EXPECT_TRUE(transport.WriteAll(wire.data(), wire.size()));
+  return batches;
+}
+
+/// Reads the SUBSCRIBE reply (expecting `epoch`), then one ESTIMATE
+/// reply per batch, each equal to the direct Engine answers.
+void ExpectSubscribeThenEstimates(
+    const Rig& rig, Transport& transport, std::uint64_t epoch,
+    const std::vector<std::vector<std::vector<std::uint32_t>>>& batches) {
+  Frame reply;
+  ASSERT_EQ(ReadFrame(transport, &reply), ReadResult::kFrame);
+  ASSERT_EQ(reply.header.opcode, Opcode::kSubscribeReply);
+  const auto snapshot = DecodeSnapshotReply(reply.body);
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->epoch, epoch);
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    ASSERT_EQ(ReadFrame(transport, &reply), ReadResult::kFrame)
+        << "estimate " << i;
+    ASSERT_EQ(reply.header.opcode, Opcode::kEstimateReply) << "estimate " << i;
+    const auto answers = DecodeEstimateReply(reply.body);
+    ASSERT_TRUE(answers.has_value());
+    EXPECT_EQ(*answers, DirectAnswers(*rig.direct, batches[i]))
+        << "estimate " << i;
+  }
+}
+
+TEST(ServeReactorTest, EstimatesBehindATimedOutSubscribeKeepRequestOrder) {
+  Rig rig = MakeRig("reactor_sub_timeout", 23);
+  ReactorOptions options;
+  options.loop_threads = 1;
+  ReactorServer reactor(*rig.router, options);
+  ASSERT_TRUE(reactor.Listen(0));
+  auto transport = TcpConnect(reactor.port());
+  ASSERT_NE(transport, nullptr);
+
+  const auto batches = PipelineBehindSubscribe(rig, *transport, 300, 4);
+  // Nothing is published: the long-poll times out at epoch 1, and only
+  // then may the already-computed estimates follow it onto the wire.
+  ExpectSubscribeThenEstimates(rig, *transport, 1, batches);
+}
+
+TEST(ServeReactorTest, EstimatesBehindAPublishedSubscribeKeepRequestOrder) {
+  Rig rig = MakeRig("reactor_sub_publish", 24);
+  ReactorOptions options;
+  options.loop_threads = 1;
+  ReactorServer reactor(*rig.router, options);
+  ASSERT_TRUE(reactor.Listen(0));
+  auto transport = TcpConnect(reactor.port());
+  ASSERT_NE(transport, nullptr);
+
+  const auto batches = PipelineBehindSubscribe(rig, *transport, 60000, 4);
+  // The estimates run inline and finish while the SUBSCRIBE is parked...
+  ASSERT_TRUE(PollUntil(
+      [&] { return FinishedRequests(*rig.registry, "estimate") == 4; }));
+  EXPECT_EQ(FinishedRequests(*rig.registry, "subscribe"), 0u);
+  // ...and their replies wait for it: the publish releases the
+  // SUBSCRIBE reply first, then the four estimates in request order.
+  rig.router->Publish("live", rig.direct, 600);
+  ExpectSubscribeThenEstimates(rig, *transport, 2, batches);
 }
 
 TEST(ServeReactorTest, ByteAtATimeClientGetsIdenticalReplies) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,14 +58,32 @@ std::optional<SketchFile> StreamParse(const std::string& bytes,
   return ReadSketch(in, error);
 }
 
+/// A zero-copy parse together with the 8-byte-aligned bytes it borrows,
+/// so the view lives exactly as long as its bytes. Move-only: a vector
+/// move keeps the buffer in place, a copy would leave the view behind.
+struct ParsedImage {
+  std::vector<std::uint64_t> aligned;
+  std::optional<SketchView> view;
+
+  ParsedImage() = default;
+  ParsedImage(ParsedImage&&) = default;
+  ParsedImage(const ParsedImage&) = delete;
+  ParsedImage& operator=(const ParsedImage&) = delete;
+
+  bool has_value() const { return view.has_value(); }
+  const SketchView* operator->() const { return &*view; }
+};
+
 /// Parses `bytes` through the zero-copy mapped validator (needs 8-byte
 /// alignment, like a real mapping).
-std::optional<SketchView> ImageParse(const std::string& bytes,
-                                     SketchError* error = nullptr) {
-  std::vector<std::uint64_t> aligned((bytes.size() + 7) / 8);
-  std::memcpy(aligned.data(), bytes.data(), bytes.size());
-  return ViewSketchImage(reinterpret_cast<const unsigned char*>(aligned.data()),
-                         bytes.size(), error);
+ParsedImage ImageParse(const std::string& bytes, SketchError* error = nullptr) {
+  ParsedImage parsed;
+  parsed.aligned.resize((bytes.size() + 7) / 8);
+  std::memcpy(parsed.aligned.data(), bytes.data(), bytes.size());
+  parsed.view = ViewSketchImage(
+      reinterpret_cast<const unsigned char*>(parsed.aligned.data()),
+      bytes.size(), error);
+  return parsed;
 }
 
 std::string ReadFileBytes(const std::string& path) {
