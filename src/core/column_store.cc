@@ -7,14 +7,13 @@
 #include "util/thread_pool.h"
 
 namespace ifsketch::core {
-namespace {
 
-// Minimum queries per ParallelFor chunk. A query is a handful of passes
-// over n/64 words; batches below this are cheaper answered inline than
-// scheduled.
-constexpr std::size_t kSupportGrain = 32;
-
-}  // namespace
+std::size_t FanOutGrain(std::size_t queries, std::size_t words) {
+  if (words < 2 * kFanOutChunkWords) return queries;
+  // ceil(queries * kFanOutChunkWords / words); words >= 2 chunks keeps
+  // the quotient below queries / 2.
+  return (queries * kFanOutChunkWords + words - 1) / words;
+}
 
 ColumnStore::ColumnStore(const Database& db) : n_(db.num_rows()) {
   columns_.assign(db.num_columns(), util::BitVector(n_));
@@ -86,17 +85,23 @@ std::size_t ColumnStore::SupportCount(const Itemset& t) const {
 void ColumnStore::SupportCounts(const std::vector<Itemset>& ts,
                                 std::vector<std::size_t>* counts) const {
   counts->resize(ts.size());
-  // Universe checks hoisted out of the counting kernel: one cheap
-  // pre-pass keeps the hot loop free of per-query validation.
-  for (const Itemset& t : ts) {
-    IFSKETCH_CHECK_EQ(t.universe(), columns_.size());
-  }
   std::size_t* out = counts->data();
   util::ThreadPool::Default().ParallelFor(
-      0, ts.size(), kSupportGrain,
+      0, ts.size(), FanOutGrain(ts.size(), BatchWords(ts)),
       [this, &ts, out](std::size_t first, std::size_t last) {
         CountRange(ts, first, last, out);
       });
+}
+
+std::size_t ColumnStore::BatchWords(const std::vector<Itemset>& ts) const {
+  // Universe checks hoisted out of the counting kernel: one cheap
+  // pre-pass keeps the hot loop free of per-query validation.
+  std::size_t attrs = 0;
+  for (const Itemset& t : ts) {
+    IFSKETCH_CHECK_EQ(t.universe(), columns_.size());
+    attrs += t.size();
+  }
+  return attrs * ((n_ + 63) / 64);
 }
 
 void ColumnStore::CountRange(const std::vector<Itemset>& ts,
@@ -111,10 +116,10 @@ void ColumnStore::CountRange(const std::vector<Itemset>& ts,
   std::vector<const util::BitVector*> operands;
   std::vector<std::size_t> attrs;
   std::vector<std::size_t> next_attrs;
-  if (first < last) attrs = ts[first].Attributes();
+  if (first < last) ts[first].AttributesInto(&attrs);
   for (std::size_t q = first; q < last; ++q) {
     const bool has_next = q + 1 < last;
-    if (has_next) next_attrs = ts[q + 1].Attributes();
+    if (has_next) ts[q + 1].AttributesInto(&next_attrs);
     if (attrs.empty()) {
       counts[q] = n_;
     } else if (attrs.size() == 1) {

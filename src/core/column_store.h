@@ -11,8 +11,13 @@
 // (EstimateMany / AreFrequent / Apriori levels). It layers three
 // optimizations on the naive per-query loop, none of which changes a
 // single count:
-//   1. Fan-out: the batch is split into contiguous chunks run on
-//      util::ThreadPool::Default(); each query writes only its own
+//   1. Work-sized fan-out: the batch's work is estimated as
+//      sum |T| x words per column, and only a batch worth at least two
+//      chunks of kFanOutChunkWords is split into contiguous chunks on
+//      util::ThreadPool::Default(). Smaller batches -- every served
+//      request of a typical workload -- run wholly on the calling
+//      thread, which for a served query is the reactor loop thread, so
+//      they never pay a pool wake-up. Each query writes only its own
 //      result slot, so answers are deterministic at any thread count.
 //   2. Fused kernels: an isolated q-attribute query is answered by
 //      util::BitVector::AndCountMany -- one pass over the column words,
@@ -49,6 +54,27 @@ inline bool SharesAprioriPrefix(const std::vector<std::size_t>& a,
   }
   return true;
 }
+
+/// Column words each ParallelFor chunk of a batched query must stream
+/// before fanning the batch out pays for waking parked pool threads.
+/// Measured on a 4-vCPU KVM guest (AVX2 tier), where a wake costs
+/// ~25-30 us and the kernels stream ~0.2 ns per word. With the old
+/// fixed 32-query chunks, micro_engine (45 words per column, 3-attribute
+/// queries) ran 4 threads slower than 1 at 250 queries (34k words: 132
+/// vs 106 ns/query), even at 500 (67k) and 1.5x faster at 1000 (135k);
+/// but a two-chunk split of 64 queries at 1024 words per column (196k
+/// words) ran 1.44x slower, since the woken worker starts about when
+/// the caller finishes its own chunk. 2^17 words is ~25 us of kernel
+/// time per chunk, about one wake: the smallest split (two chunks)
+/// roughly breaks even and larger ones win.
+inline constexpr std::size_t kFanOutChunkWords = std::size_t{1} << 17;
+
+/// Work-sized ParallelFor grain for a batch of `queries` queries that
+/// together stream `words` column words (sum |T| x words per column):
+/// the fewest queries whose chunk streams kFanOutChunkWords on average.
+/// A batch below two chunks' worth of work gets `queries` itself, so
+/// ParallelFor runs it inline on the calling thread.
+std::size_t FanOutGrain(std::size_t queries, std::size_t words);
 
 /// Immutable column-major view of a database, for fast frequency queries.
 class ColumnStore {
@@ -88,10 +114,17 @@ class ColumnStore {
   std::size_t SupportCount(const Itemset& t) const;
 
   /// Batched SupportCount: counts[i] = SupportCount(ts[i]), bit-identical
-  /// to the scalar loop. Runs on the default thread pool and shares
-  /// prefix accumulators across adjacent queries (see file comment).
+  /// to the scalar loop. A batch smaller than two chunks of
+  /// kFanOutChunkWords runs wholly on the calling thread; a larger one
+  /// fans out on the default thread pool. Adjacent queries share prefix
+  /// accumulators either way (see file comment).
   void SupportCounts(const std::vector<Itemset>& ts,
                      std::vector<std::size_t>* counts) const;
+
+  /// The work estimate FanOutGrain sizes chunks by: sum |T| over `ts`
+  /// times the words per column. Also checks every query's universe
+  /// against num_columns(), so the counting loops need not.
+  std::size_t BatchWords(const std::vector<Itemset>& ts) const;
 
   /// f_T(D), identical to Database::Frequency on the source data.
   double Frequency(const Itemset& t) const;

@@ -43,6 +43,12 @@ class Itemset {
   /// Ascending attribute indices.
   std::vector<std::size_t> Attributes() const { return indicator_.SetBits(); }
 
+  /// Attributes() into caller scratch, reusing its capacity: the batched
+  /// query kernels call this once per query without allocating.
+  void AttributesInto(std::vector<std::size_t>* out) const {
+    indicator_.SetBitsInto(out);
+  }
+
   /// The indicator vector in {0,1}^d.
   const util::BitVector& indicator() const { return indicator_; }
 

@@ -34,7 +34,8 @@
 // Threading contract: loaded views must be immutable -- every query
 // method is const and safe to call concurrently, with no lazily-built
 // mutable caches. The default EstimateMany/AreFrequent (and the
-// column-store overrides) fan batches out across
+// column-store overrides, once a batch is worth the wake-up; see
+// core::FanOutGrain) fan batches out across
 // util::ThreadPool::Default(); each query writes only its own answer
 // slot, so batched answers stay bit-identical to the scalar loop at any
 // thread count. Implementations of EstimateFrequency/IsFrequent

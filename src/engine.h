@@ -36,9 +36,13 @@
 // any number of threads concurrently on one Engine. Lazy view
 // materialization is guarded by std::call_once, and the built-in views
 // are immutable once loaded. Batched queries (estimate_many,
-// are_frequent, mine) additionally fan each batch out across
-// util::ThreadPool::Default(); answers are bit-identical to the serial
-// scalar loop at every thread count. Size the pool with
+// are_frequent, mine) may additionally fan a batch out across
+// util::ThreadPool::Default(). The column-store-backed sample sketches
+// do so only when the batch's work is worth at least two chunks of
+// core::kFanOutChunkWords column words (core/column_store.h): smaller
+// batches, which include typical served requests, run wholly on the
+// calling thread. Answers are bit-identical to the serial scalar loop
+// at every thread count. Size the pool with
 // util::ThreadPool::SetDefaultThreadCount (or the IFSKETCH_THREADS
 // environment variable) from configuration code, before queries are in
 // flight. Save/Build/Open are not synchronized against each other.

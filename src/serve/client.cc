@@ -1,6 +1,7 @@
 #include "serve/client.h"
 
 #include <algorithm>
+#include <span>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -57,20 +58,31 @@ void SketchClient::Poison(const char* message) {
   last_failure_ = FailureKind::kTransport;
 }
 
+void SketchClient::FailLocal(const char* message) {
+  // Nothing was sent: the connection is still healthy.
+  last_error_ = message;
+  last_status_ = Status::kOk;  // not a server verdict
+  last_failure_ = FailureKind::kLocal;
+  last_attempts_ = 0;
+}
+
 std::optional<Frame> SketchClient::RoundTrip(Opcode opcode,
                                              const std::string& body,
                                              Opcode expected_reply) {
+  std::string wire;
+  if (!EncodeFrame(opcode, 0, body, &wire)) {
+    FailLocal("request exceeds the frame size limit");
+    return std::nullopt;
+  }
+  return RoundTripFrame(wire, expected_reply);
+}
+
+std::optional<Frame> SketchClient::RoundTripFrame(const std::string& wire,
+                                                  Opcode expected_reply) {
   last_error_.clear();
   last_status_ = Status::kOk;
   last_failure_ = FailureKind::kNone;
   last_attempts_ = 0;
-  std::string wire;
-  if (!EncodeFrame(opcode, 0, body, &wire)) {
-    // Local limit, nothing sent: the connection is still healthy.
-    last_error_ = "request exceeds the frame size limit";
-    last_failure_ = FailureKind::kLocal;
-    return std::nullopt;
-  }
   const auto start = std::chrono::steady_clock::now();
   const int max_attempts = factory_ ? std::max(1, policy_.max_attempts) : 1;
   for (int attempt = 1;; ++attempt) {
@@ -125,18 +137,12 @@ std::optional<Frame> SketchClient::RoundTrip(Opcode opcode,
 std::optional<std::vector<double>> SketchClient::EstimateMany(
     const std::string& sketch,
     const std::vector<std::vector<std::uint32_t>>& queries) {
-  QueryRequest request;
-  request.sketch = sketch;
-  request.queries = queries;
-  std::string body;
-  if (!EncodeQueryRequest(request, &body)) {
-    last_error_ = "request exceeds protocol limits";
-    last_status_ = Status::kOk;  // local failure, not a server verdict
-    last_failure_ = FailureKind::kLocal;
+  std::string wire;
+  if (!EncodeQueryFrame(Opcode::kEstimate, sketch, queries, &wire)) {
+    FailLocal("request exceeds protocol limits");
     return std::nullopt;
   }
-  const auto reply =
-      RoundTrip(Opcode::kEstimate, body, Opcode::kEstimateReply);
+  const auto reply = RoundTripFrame(wire, Opcode::kEstimateReply);
   if (!reply.has_value()) return std::nullopt;
   auto answers = DecodeEstimateReply(reply->body);
   if (!answers.has_value() || answers->size() != queries.size()) {
@@ -165,18 +171,13 @@ std::optional<std::vector<double>> SketchClient::EstimateManyPipelined(
   std::vector<std::size_t> chunk_sizes(frames);
   const std::size_t per = queries.size() / frames;
   const std::size_t extra = queries.size() % frames;
+  const std::span<const std::vector<std::uint32_t>> all(queries);
   std::size_t begin = 0;
   for (std::size_t i = 0; i < frames; ++i) {
     const std::size_t count = per + (i < extra ? 1 : 0);
-    QueryRequest request;
-    request.sketch = sketch;
-    request.queries.assign(queries.begin() + begin,
-                           queries.begin() + begin + count);
-    std::string body;
-    if (!EncodeQueryRequest(request, &body) ||
-        !EncodeFrame(Opcode::kEstimate, 0, body, &wire[i])) {
-      last_error_ = "request exceeds protocol limits";
-      last_failure_ = FailureKind::kLocal;
+    if (!EncodeQueryFrame(Opcode::kEstimate, sketch,
+                          all.subspan(begin, count), &wire[i])) {
+      FailLocal("request exceeds protocol limits");
       return std::nullopt;
     }
     chunk_sizes[i] = count;
@@ -264,18 +265,12 @@ std::optional<std::vector<double>> SketchClient::EstimateManyPipelined(
 std::optional<std::vector<bool>> SketchClient::AreFrequent(
     const std::string& sketch,
     const std::vector<std::vector<std::uint32_t>>& queries) {
-  QueryRequest request;
-  request.sketch = sketch;
-  request.queries = queries;
-  std::string body;
-  if (!EncodeQueryRequest(request, &body)) {
-    last_error_ = "request exceeds protocol limits";
-    last_status_ = Status::kOk;  // local failure, not a server verdict
-    last_failure_ = FailureKind::kLocal;
+  std::string wire;
+  if (!EncodeQueryFrame(Opcode::kAreFrequent, sketch, queries, &wire)) {
+    FailLocal("request exceeds protocol limits");
     return std::nullopt;
   }
-  const auto reply =
-      RoundTrip(Opcode::kAreFrequent, body, Opcode::kAreFrequentReply);
+  const auto reply = RoundTripFrame(wire, Opcode::kAreFrequentReply);
   if (!reply.has_value()) return std::nullopt;
   auto answers = DecodeAreFrequentReply(reply->body);
   if (!answers.has_value() || answers->size() != queries.size()) {

@@ -175,6 +175,14 @@ class SketchClient {
   std::optional<Frame> RoundTrip(Opcode opcode, const std::string& body,
                                  Opcode expected_reply);
 
+  /// RoundTrip of an already-encoded request frame: the query calls
+  /// encode theirs straight from the caller's queries (EncodeQueryFrame).
+  std::optional<Frame> RoundTripFrame(const std::string& wire,
+                                      Opcode expected_reply);
+
+  /// Records a local refusal (a protocol limit; nothing was sent).
+  void FailLocal(const char* message);
+
   /// True with a live transport_ (reconnecting via the factory if the
   /// old one is gone or poisoned).
   bool EnsureConnected();

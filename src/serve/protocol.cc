@@ -31,10 +31,23 @@ class Reader {
   }
 
   bool GetString(std::string& value) {
+    std::string_view view;
+    if (!GetStringView(view)) return false;
+    value.assign(view);
+    return true;
+  }
+
+  /// A length-prefixed string borrowed from the buffer.
+  bool GetStringView(std::string_view& value) {
     std::uint16_t len = 0;
-    if (!Get(len) || data_.size() - pos_ < len) return false;
-    value.assign(data_.data() + pos_, len);
-    pos_ += len;
+    if (!Get(len) || !Skip(len)) return false;
+    value = data_.substr(pos_ - len, len);
+    return true;
+  }
+
+  bool Skip(std::size_t bytes) {
+    if (data_.size() - pos_ < bytes) return false;
+    pos_ += bytes;
     return true;
   }
 
@@ -42,10 +55,52 @@ class Reader {
 
   std::size_t Remaining() const { return data_.size() - pos_; }
 
+  /// The unread tail of the buffer.
+  std::string_view Rest() const { return data_.substr(pos_); }
+
  private:
   std::string_view data_;
   std::size_t pos_ = 0;
 };
+
+/// Fixed-width little-endian store at a raw cursor, advancing it.
+template <typename T>
+char* Store(char* p, T value) {
+  std::memcpy(p, &value, sizeof(T));
+  return p + sizeof(T);
+}
+
+/// Byte length of the query-request body for (sketch, queries), or 0
+/// when it exceeds a protocol limit (a real body is never empty).
+std::size_t QueryBodyBytes(
+    std::string_view sketch,
+    std::span<const std::vector<std::uint32_t>> queries) {
+  if (sketch.size() > 0xffff || queries.size() > kMaxQueriesPerRequest) {
+    return 0;
+  }
+  std::size_t bytes = sizeof(std::uint16_t) + sketch.size() +
+                      sizeof(std::uint32_t) +
+                      queries.size() * sizeof(std::uint16_t);
+  for (const auto& attrs : queries) {
+    if (attrs.size() > 0xffff) return 0;
+    bytes += attrs.size() * sizeof(std::uint32_t);
+  }
+  return bytes;
+}
+
+/// Writes the query-request body QueryBodyBytes sized at `p`.
+void WriteQueryBody(char* p, std::string_view sketch,
+                    std::span<const std::vector<std::uint32_t>> queries) {
+  p = Store(p, static_cast<std::uint16_t>(sketch.size()));
+  if (!sketch.empty()) std::memcpy(p, sketch.data(), sketch.size());
+  p = Store(p + sketch.size(), static_cast<std::uint32_t>(queries.size()));
+  for (const auto& attrs : queries) {
+    p = Store(p, static_cast<std::uint16_t>(attrs.size()));
+    const std::size_t run = attrs.size() * sizeof(std::uint32_t);
+    if (run != 0) std::memcpy(p, attrs.data(), run);
+    p += run;
+  }
+}
 
 bool KnownOpcode(std::uint8_t byte) {
   switch (static_cast<Opcode>(byte)) {
@@ -95,34 +150,44 @@ bool EncodeFrameHeader(Opcode opcode, std::uint8_t status,
 }
 
 bool EncodeQueryRequest(const QueryRequest& request, std::string* body) {
-  if (request.sketch.size() > 0xffff) return false;
-  if (request.queries.size() > kMaxQueriesPerRequest) return false;
-  PutString(body, request.sketch);
-  PutRaw<std::uint32_t>(body,
-                        static_cast<std::uint32_t>(request.queries.size()));
-  for (const auto& attrs : request.queries) {
-    if (attrs.size() > 0xffff) return false;
-    PutRaw<std::uint16_t>(body, static_cast<std::uint16_t>(attrs.size()));
-    for (std::uint32_t attr : attrs) PutRaw<std::uint32_t>(body, attr);
-  }
+  const std::size_t bytes = QueryBodyBytes(request.sketch, request.queries);
+  if (bytes == 0) return false;
+  const std::size_t at = body->size();
+  body->resize(at + bytes);
+  WriteQueryBody(body->data() + at, request.sketch, request.queries);
+  return true;
+}
+
+bool EncodeQueryFrame(Opcode opcode, std::string_view sketch,
+                      std::span<const std::vector<std::uint32_t>> queries,
+                      std::string* out) {
+  const std::size_t bytes = QueryBodyBytes(sketch, queries);
+  if (bytes == 0 || bytes > kMaxBodyBytes) return false;
+  const std::size_t at = out->size();
+  out->resize(at + kFrameHeaderBytes + bytes);
+  char* p = out->data() + at;
+  EncodeFrameHeader(opcode, 0, static_cast<std::uint32_t>(bytes), p);
+  WriteQueryBody(p + kFrameHeaderBytes, sketch, queries);
   return true;
 }
 
 void EncodeEstimateReply(const std::vector<double>& answers,
                          std::string* body) {
   PutRaw<std::uint32_t>(body, static_cast<std::uint32_t>(answers.size()));
-  for (double a : answers) PutRaw<double>(body, a);
+  body->append(reinterpret_cast<const char*>(answers.data()),
+               answers.size() * sizeof(double));
 }
 
 void EncodeAreFrequentReply(const std::vector<bool>& answers,
                             std::string* body) {
   PutRaw<std::uint32_t>(body, static_cast<std::uint32_t>(answers.size()));
   // Pack bits LSB-first, the same order the IFSK payload uses.
-  std::string bytes((answers.size() + 7) / 8, '\0');
+  const std::size_t at = body->size();
+  body->resize(at + (answers.size() + 7) / 8, '\0');
+  char* bytes = body->data() + at;
   for (std::size_t i = 0; i < answers.size(); ++i) {
     if (answers[i]) bytes[i / 8] |= static_cast<char>(1 << (i % 8));
   }
-  body->append(bytes);
 }
 
 bool EncodeInfoRequest(std::string_view sketch, std::string* body) {
@@ -244,27 +309,43 @@ std::optional<FrameHeader> DecodeFrameHeader(const char* data,
   return header;
 }
 
-std::optional<QueryRequest> DecodeQueryRequest(std::string_view body) {
+std::optional<QueryRequestView> ViewQueryRequest(std::string_view body) {
   Reader in(body);
-  QueryRequest request;
-  std::uint32_t count = 0;
-  if (!in.GetString(request.sketch) || !in.Get(count)) return std::nullopt;
-  if (count > kMaxQueriesPerRequest) return std::nullopt;
-  // Bound the declared count by the bytes actually present (every query
-  // costs at least its u16 attribute count) before sizing anything from
-  // it -- a tiny frame must not provoke a megabyte reserve.
-  if (count > in.Remaining() / 2) return std::nullopt;
-  request.queries.reserve(count);
-  for (std::uint32_t q = 0; q < count; ++q) {
+  QueryRequestView view;
+  if (!in.GetStringView(view.sketch) || !in.Get(view.count)) {
+    return std::nullopt;
+  }
+  if (view.count > kMaxQueriesPerRequest) return std::nullopt;
+  // Every query costs at least its u16 attribute count, so a declared
+  // count beyond half the remaining bytes is a lie: reject it before
+  // walking (and before a decoder sizes anything from it).
+  if (view.count > in.Remaining() / 2) return std::nullopt;
+  view.records = in.Rest();
+  for (std::uint32_t q = 0; q < view.count; ++q) {
     std::uint16_t attrs = 0;
-    if (!in.Get(attrs)) return std::nullopt;
-    std::vector<std::uint32_t> query(attrs);
-    for (std::uint16_t a = 0; a < attrs; ++a) {
-      if (!in.Get(query[a])) return std::nullopt;
+    if (!in.Get(attrs) ||
+        !in.Skip(std::size_t{attrs} * sizeof(std::uint32_t))) {
+      return std::nullopt;
     }
-    request.queries.push_back(std::move(query));
   }
   if (!in.Done()) return std::nullopt;
+  return view;
+}
+
+std::optional<QueryRequest> DecodeQueryRequest(std::string_view body) {
+  const auto view = ViewQueryRequest(body);
+  if (!view.has_value()) return std::nullopt;
+  QueryRequest request;
+  request.sketch.assign(view->sketch);
+  request.queries.reserve(view->count);
+  ForEachQuery(*view, [&request](const QueryRecord& record) {
+    auto& query = request.queries.emplace_back(record.size);
+    if (record.size != 0) {
+      std::memcpy(query.data(), record.attrs,
+                  query.size() * sizeof(std::uint32_t));
+    }
+    return true;
+  });
   return request;
 }
 
@@ -274,13 +355,12 @@ std::optional<std::vector<double>> DecodeEstimateReply(
   std::uint32_t count = 0;
   if (!in.Get(count) || count > kMaxQueriesPerRequest) return std::nullopt;
   // The body is exactly `count` raw doubles; check before allocating.
-  if (in.Remaining() != static_cast<std::size_t>(count) * sizeof(double)) {
+  const std::string_view raw = in.Rest();
+  if (raw.size() != static_cast<std::size_t>(count) * sizeof(double)) {
     return std::nullopt;
   }
   std::vector<double> answers(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (!in.Get(answers[i])) return std::nullopt;
-  }
+  if (count != 0) std::memcpy(answers.data(), raw.data(), raw.size());
   return answers;
 }
 

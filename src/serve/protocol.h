@@ -98,7 +98,9 @@
 #define IFSKETCH_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -175,6 +177,43 @@ struct QueryRequest {
   std::string sketch;
   std::vector<std::vector<std::uint32_t>> queries;
 };
+
+/// A kEstimate / kAreFrequent body that passed ViewQueryRequest,
+/// viewed in place: `sketch` and `records` borrow the body bytes, which
+/// must outlive the view. Walk the queries with ForEachQuery.
+struct QueryRequestView {
+  std::string_view sketch;
+  std::uint32_t count = 0;   ///< number of query records
+  std::string_view records;  ///< count x { attrs u16, attr u32 x attrs }
+};
+
+/// One query record of a validated view: `size` u32 attribute indices
+/// starting at `attrs`, straight from the (unaligned) wire bytes.
+struct QueryRecord {
+  const char* attrs = nullptr;
+  std::uint16_t size = 0;
+
+  std::uint32_t attr(std::size_t i) const {
+    std::uint32_t value;
+    std::memcpy(&value, attrs + i * sizeof(value), sizeof(value));
+    return value;
+  }
+};
+
+/// Calls fn(const QueryRecord&) for each query of a validated view, in
+/// order, until fn returns false. Returns false iff fn stopped it.
+template <typename Fn>
+bool ForEachQuery(const QueryRequestView& view, Fn&& fn) {
+  const char* p = view.records.data();
+  for (std::uint32_t q = 0; q < view.count; ++q) {
+    QueryRecord record;
+    std::memcpy(&record.size, p, sizeof(record.size));
+    record.attrs = p + sizeof(record.size);
+    p = record.attrs + std::size_t{record.size} * sizeof(std::uint32_t);
+    if (!fn(record)) return false;
+  }
+  return true;
+}
 
 /// kRefreshReply / kSubscribeReply payload: which snapshot the sketch is
 /// serving (mirrors serve::SnapshotState; epoch 0 = nothing published).
@@ -262,8 +301,17 @@ bool EncodeFrameHeader(Opcode opcode, std::uint8_t status,
 
 /// Body encoders. EncodeQueryRequest returns false when the request
 /// exceeds protocol limits (name > 64 KiB, too many queries, a query
-/// with > 65535 attributes).
+/// with > 65535 attributes); a refusal leaves `body` untouched. The
+/// body is sized once and each query's attributes are copied as one
+/// run.
 bool EncodeQueryRequest(const QueryRequest& request, std::string* body);
+/// Appends a whole kEstimate / kAreFrequent frame (header + the
+/// EncodeQueryRequest body) to `out` in one pass, straight from the
+/// caller's queries -- the form a client sends. False, with `out`
+/// untouched, when a limit above or kMaxBodyBytes is exceeded.
+bool EncodeQueryFrame(Opcode opcode, std::string_view sketch,
+                      std::span<const std::vector<std::uint32_t>> queries,
+                      std::string* out);
 void EncodeEstimateReply(const std::vector<double>& answers,
                          std::string* body);
 void EncodeAreFrequentReply(const std::vector<bool>& answers,
@@ -298,6 +346,12 @@ std::optional<FrameHeader> DecodeFrameHeader(const char* data,
 
 /// Body decoders; each consumes the entire body and returns nullopt on
 /// truncation, limit violations, or trailing bytes.
+///
+/// ViewQueryRequest is the one acceptance rule for query requests: it
+/// validates the body in place, allocating nothing, and the server
+/// builds its itemsets straight from the view. DecodeQueryRequest is
+/// the same check followed by a copy into an owning QueryRequest.
+std::optional<QueryRequestView> ViewQueryRequest(std::string_view body);
 std::optional<QueryRequest> DecodeQueryRequest(std::string_view body);
 std::optional<std::vector<double>> DecodeEstimateReply(std::string_view body);
 std::optional<std::vector<bool>> DecodeAreFrequentReply(

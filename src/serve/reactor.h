@@ -17,9 +17,11 @@
 //     itself -- DispatchRequest's acquire, routing and kernels run
 //     inline -- and flushes the replies of one read pass with one
 //     sendmsg, so a request costs no thread handoff and no second
-//     wakeup. Kernel fan-out inside a request still runs on
-//     util::ThreadPool, with the loop thread taking part (the router's
-//     ParallelFor has the caller participate).
+//     wakeup. A typical served batch is too small to pay for a pool
+//     wake (core::kFanOutChunkWords), so its kernels run wholly on the
+//     loop thread too; only a batch worth several chunks of work fans
+//     out on util::ThreadPool, with the loop thread taking part
+//     (ParallelFor has the caller participate).
 //     Trade-off: a heavy request (a large batch, a sketch load on a pod
 //     cache miss) delays the other connections on its own loop until it
 //     finishes; connections on other loops are unaffected, and loops

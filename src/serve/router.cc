@@ -425,7 +425,7 @@ void Router::RunFused(const std::string& name,
   // whole (never partially) and is excluded from the fused batch, so one
   // bad client cannot abort the engine for everyone else.
   std::vector<Pending*> runnable;
-  std::vector<core::Itemset> fused;
+  std::size_t queries = 0;
   const Engine* exec = nullptr;
   std::size_t exec_pod = kNoPod;
   for (Pending* p : batch) {
@@ -460,19 +460,36 @@ void Router::RunFused(const std::string& name,
     runnable.push_back(p);
     exec = engine;
     exec_pod = engine_pod != kNoPod ? engine_pod : ShardOf(name);
-    fused.insert(fused.end(), p->ts->begin(), p->ts->end());
+    queries += p->ts->size();
   }
   if (!runnable.empty()) {
-    // One engine call answers every runnable request. Batched kernels
-    // are bit-identical per answer slot whatever the batch composition,
-    // so each scattered slice equals the request's serial answer. The
+    // One engine call answers every runnable request. A lone request --
+    // nearly every request, since followers only queue behind a batch
+    // in flight -- runs on its own queries and answer vector, so nothing
+    // is copied. A coalesced batch runs fused: batched kernels are
+    // bit-identical per answer slot whatever the batch composition, so
+    // each scattered slice equals the request's serial answer. The
     // in-flight gauge brackets exactly the engine call: that is the load
     // the replica selector wants to spread. The kernel stage lands on
     // the executing leader's trace (see obs/trace.h).
+    std::vector<core::Itemset> fused;
+    if (runnable.size() > 1) {
+      fused.reserve(queries);
+      for (Pending* p : runnable) {
+        fused.insert(fused.end(), p->ts->begin(), p->ts->end());
+      }
+    }
     coalesce_depth_->Record(runnable.size());
     obs::StageTimer kernel_timer(obs::Stage::kKernel);
     AddInflight(exec_pod, +1);
-    if (estimator_flavor) {
+    if (runnable.size() == 1) {
+      Pending* p = runnable.front();
+      if (estimator_flavor) {
+        exec->estimate_many(*p->ts, p->estimates);
+      } else {
+        exec->are_frequent(*p->ts, p->bits);
+      }
+    } else if (estimator_flavor) {
       std::vector<double> answers;
       exec->estimate_many(fused, &answers);
       std::size_t offset = 0;
@@ -480,7 +497,6 @@ void Router::RunFused(const std::string& name,
         p->estimates->assign(answers.begin() + static_cast<std::ptrdiff_t>(offset),
                              answers.begin() + static_cast<std::ptrdiff_t>(
                                                    offset + p->ts->size()));
-        p->status = RouteStatus::kOk;
         offset += p->ts->size();
       }
     } else {
@@ -491,12 +507,12 @@ void Router::RunFused(const std::string& name,
         p->bits->assign(answers.begin() + static_cast<std::ptrdiff_t>(offset),
                         answers.begin() + static_cast<std::ptrdiff_t>(
                                               offset + p->ts->size()));
-        p->status = RouteStatus::kOk;
         offset += p->ts->size();
       }
     }
+    for (Pending* p : runnable) p->status = RouteStatus::kOk;
     AddInflight(exec_pod, -1);
-    pods_[exec_pod]->CountQueries(name, fused.size());
+    pods_[exec_pod]->CountQueries(name, queries);
   }
 
   coalesce_batches_->Add();

@@ -44,47 +44,51 @@ bool SendError(Transport& transport, Status status,
   return transport.WriteAll(wire.data(), wire.size());
 }
 
-/// Turns a decoded query request into Itemsets over the target sketch's
-/// universe, handing back the acquired engine so routing can reuse it
-/// (one pod acquire per request). False (with `*error` filled) when the
-/// name is unknown, the file will not load, or any attribute is out of
-/// range.
-bool PrepareQueries(Router& router, const QueryRequest& request,
+/// Builds the Itemsets of a validated query request over the target
+/// sketch's universe, straight from the wire bytes, handing back the
+/// acquired engine so routing can reuse it (one pod acquire per
+/// request). False (with `*error` filled) when the name is unknown, the
+/// file will not load, or a query has an out-of-range attribute or a
+/// size the sketch cannot answer -- the first failing query decides.
+bool PrepareQueries(Router& router, const std::string& sketch,
+                    const QueryRequestView& request,
                     std::vector<core::Itemset>* ts,
                     std::shared_ptr<const Engine>* engine_out,
                     std::size_t* engine_pod, ReplyFrame* error) {
-  auto engine = router.Acquire(request.sketch, engine_pod);
+  auto engine = router.Acquire(sketch, engine_pod);
   if (engine == nullptr) {
-    if (router.Knows(request.sketch)) {
+    if (router.Knows(sketch)) {
       *error = ErrorReply(Status::kInternal,
-                          "sketch \"" + request.sketch + "\" failed to load");
+                          "sketch \"" + sketch + "\" failed to load");
     } else {
       *error = ErrorReply(Status::kUnknownSketch,
-                          "unknown sketch \"" + request.sketch + "\"");
+                          "unknown sketch \"" + sketch + "\"");
     }
     return false;
   }
   const std::size_t d = engine->d();
-  ts->reserve(request.queries.size());
-  for (const auto& attrs : request.queries) {
-    core::Itemset t(d);
-    for (std::uint32_t attr : attrs) {
+  ts->reserve(request.count);
+  const bool ok = ForEachQuery(request, [&](const QueryRecord& record) {
+    core::Itemset& t = ts->emplace_back(d);
+    for (std::size_t i = 0; i < record.size; ++i) {
+      const std::uint32_t attr = record.attr(i);
       if (attr >= d) {
         *error = ErrorReply(Status::kUnsupportedQuery,
                             "attribute out of range for sketch \"" +
-                                request.sketch + "\"");
+                                sketch + "\"");
         return false;
       }
       t.Add(attr);
     }
     if (!engine->supports_query_size(t.size())) {
       *error = ErrorReply(Status::kUnsupportedQuery,
-                          "query size unsupported by sketch \"" +
-                              request.sketch + "\"");
+                          "query size unsupported by sketch \"" + sketch +
+                              "\"");
       return false;
     }
-    ts->push_back(std::move(t));
-  }
+    return true;
+  });
+  if (!ok) return false;
   *engine_out = std::move(engine);
   return true;
 }
@@ -107,15 +111,17 @@ ReplyFrame TimedReply(Opcode opcode, EncodeFn&& encode) {
 }
 
 ReplyFrame HandleEstimate(Router& router, std::string_view body) {
-  const auto request = TimedDecode(DecodeQueryRequest, body);
+  const auto request = TimedDecode(ViewQueryRequest, body);
   if (!request.has_value()) {
     return ErrorReply(Status::kBadRequest, "undecodable estimate request");
   }
+  const std::string sketch(request->sketch);
   std::vector<core::Itemset> ts;
   std::shared_ptr<const Engine> engine;
   std::size_t engine_pod = Router::kNoPod;
   ReplyFrame error;
-  if (!PrepareQueries(router, *request, &ts, &engine, &engine_pod, &error)) {
+  if (!PrepareQueries(router, sketch, *request, &ts, &engine, &engine_pod,
+                      &error)) {
     return error;
   }
   std::vector<double> answers;
@@ -124,12 +130,12 @@ ReplyFrame HandleEstimate(Router& router, std::string_view body) {
     // The route span covers coalescing: queue wait for a follower, the
     // fused kernel for the leader (which also stamps kKernel).
     obs::StageTimer route_timer(obs::Stage::kRoute);
-    status = router.EstimateMany(request->sketch, std::move(engine), ts,
-                                 &answers, engine_pod);
+    status = router.EstimateMany(sketch, std::move(engine), ts, &answers,
+                                 engine_pod);
   }
   if (status != RouteStatus::kOk) {
     return ErrorReply(ToProtocolStatus(status),
-                      "estimate failed for sketch \"" + request->sketch +
+                      "estimate failed for sketch \"" + sketch +
                           "\" (indicator-flavored sketch?)");
   }
   return TimedReply(Opcode::kEstimateReply, [&answers](std::string* reply) {
@@ -138,29 +144,30 @@ ReplyFrame HandleEstimate(Router& router, std::string_view body) {
 }
 
 ReplyFrame HandleAreFrequent(Router& router, std::string_view body) {
-  const auto request = TimedDecode(DecodeQueryRequest, body);
+  const auto request = TimedDecode(ViewQueryRequest, body);
   if (!request.has_value()) {
     return ErrorReply(Status::kBadRequest,
                       "undecodable are-frequent request");
   }
+  const std::string sketch(request->sketch);
   std::vector<core::Itemset> ts;
   std::shared_ptr<const Engine> engine;
   std::size_t engine_pod = Router::kNoPod;
   ReplyFrame error;
-  if (!PrepareQueries(router, *request, &ts, &engine, &engine_pod, &error)) {
+  if (!PrepareQueries(router, sketch, *request, &ts, &engine, &engine_pod,
+                      &error)) {
     return error;
   }
   std::vector<bool> answers;
   RouteStatus status;
   {
     obs::StageTimer route_timer(obs::Stage::kRoute);
-    status = router.AreFrequent(request->sketch, std::move(engine), ts,
-                                &answers, engine_pod);
+    status = router.AreFrequent(sketch, std::move(engine), ts, &answers,
+                                engine_pod);
   }
   if (status != RouteStatus::kOk) {
     return ErrorReply(ToProtocolStatus(status),
-                      "are-frequent failed for sketch \"" + request->sketch +
-                          "\"");
+                      "are-frequent failed for sketch \"" + sketch + "\"");
   }
   return TimedReply(Opcode::kAreFrequentReply,
                     [&answers](std::string* reply) {

@@ -22,7 +22,9 @@ namespace {
 /// ascending row order with the same per-row terms, so the
 /// floating-point sum (and therefore the answer) is bit-identical
 /// everywhere. Batched queries fan out across the default thread pool
-/// and share prefix accumulators between adjacent sibling queries.
+/// only when their work warrants it (core::FanOutGrain; small batches
+/// run on the calling thread) and share prefix accumulators between
+/// adjacent sibling queries.
 class HtEstimator : public core::FrequencyEstimator {
  public:
   HtEstimator(const core::Database& sample, double mean_weight,
@@ -61,7 +63,7 @@ class HtEstimator : public core::FrequencyEstimator {
     answers->resize(ts.size());
     double* out = answers->data();
     util::ThreadPool::Default().ParallelFor(
-        0, ts.size(), /*grain=*/16,
+        0, ts.size(), core::FanOutGrain(ts.size(), columns_.BatchWords(ts)),
         [this, &ts, out](std::size_t first, std::size_t last) {
           EstimateRange(ts, first, last, out);
         });
@@ -82,9 +84,9 @@ class HtEstimator : public core::FrequencyEstimator {
     std::vector<std::size_t> prefix_attrs;
     std::vector<std::size_t> attrs;
     std::vector<std::size_t> next_attrs;
-    if (first < last) attrs = ts[first].Attributes();
+    if (first < last) ts[first].AttributesInto(&attrs);
     for (std::size_t q = first; q < last; ++q) {
-      if (q + 1 < last) next_attrs = ts[q + 1].Attributes();
+      if (q + 1 < last) ts[q + 1].AttributesInto(&next_attrs);
       double acc = 0.0;
       if (attrs.empty()) {
         for (std::size_t i = 0; i < s; ++i) acc += coefficients_[i];

@@ -194,15 +194,20 @@ BitVector BitVector::Slice(std::size_t begin, std::size_t len) const {
 std::vector<std::size_t> BitVector::SetBits() const {
   std::vector<std::size_t> out;
   out.reserve(Count());
+  SetBitsInto(&out);
+  return out;
+}
+
+void BitVector::SetBitsInto(std::vector<std::size_t>* out) const {
+  out->clear();
   for (std::size_t wi = 0; wi < num_words(); ++wi) {
     std::uint64_t w = data_[wi];
     while (w != 0) {
       const int b = std::countr_zero(w);
-      out.push_back(wi * 64 + static_cast<std::size_t>(b));
+      out->push_back(wi * 64 + static_cast<std::size_t>(b));
       w &= w - 1;
     }
   }
-  return out;
 }
 
 std::string BitVector::ToString() const {

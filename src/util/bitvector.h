@@ -164,6 +164,11 @@ class BitVector {
   /// Indices of set bits, ascending.
   std::vector<std::size_t> SetBits() const;
 
+  /// SetBits into caller scratch: replaces *out's contents, reusing its
+  /// capacity, so a loop over many vectors allocates only while *out
+  /// grows.
+  void SetBitsInto(std::vector<std::size_t>* out) const;
+
   /// '0'/'1' rendering (test/debug helper).
   std::string ToString() const;
 

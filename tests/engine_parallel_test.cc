@@ -6,15 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/column_store.h"
 #include "data/generators.h"
 #include "engine.h"
 #include "mining/apriori.h"
 #include "sketch/sketch_file.h"
+#include "sketch/subsample.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -123,6 +127,66 @@ TEST_P(ParallelEquivalenceTest, MineMatchesScalarAtEveryThreadCount) {
       ASSERT_EQ(scalar[i].itemset, mined[i].itemset) << i;
       ASSERT_EQ(scalar[i].frequency, mined[i].frequency) << i;
     }
+  }
+}
+
+// A batch large enough that SupportCounts / EstimateMany really fan out
+// (the batch above runs inline under the work-sized grain): chunk
+// boundaries cut through sibling runs, so prefix-sharing resets are
+// exercised at every thread count. Sized from core::kFanOutChunkWords
+// and a lower bound on any algorithm's rows per column store, so it
+// keeps fanning out if the threshold moves.
+TEST_P(ParallelEquivalenceTest, FannedOutBatchMatchesScalarAtEveryThreadCount) {
+  util::Rng rng(44);
+  const std::size_t d = 12;
+  core::SketchParams params = EstimatorParams();
+  params.eps = 0.02;
+  const core::Database db =
+      data::PowerLawBaskets(4000, d, 1.0, 0.5, 4, 3, 0.2, rng);
+  auto built = Engine::Build(db, GetParam(), params, rng);
+  ASSERT_TRUE(built.has_value());
+  const Engine& engine = *built;
+
+  // The smallest column store any algorithm here keeps: a sample drawn
+  // at delta = 0.25 (MEDIAN-BOOST's per-copy confidence; larger delta
+  // means fewer rows), or the whole database.
+  core::SketchParams copy_params = params;
+  copy_params.delta = 0.25;
+  const std::size_t min_rows = std::min<std::size_t>(
+      db.num_rows(), sketch::SubsampleSketch::SampleCount(copy_params, d));
+  const std::size_t min_words_per_column = (min_rows + 63) / 64;
+  // At least four chunks of kFanOutChunkWords, counted on the low side.
+  std::vector<core::Itemset> queries;
+  std::size_t attrs = 0;
+  while (attrs * min_words_per_column < 4 * core::kFanOutChunkWords) {
+    for (core::Itemset& t : RandomBatch(d, rng)) {
+      attrs += t.size();
+      queries.push_back(std::move(t));
+    }
+  }
+  ASSERT_LE(core::FanOutGrain(queries.size(), attrs * min_words_per_column),
+            queries.size() / 4);
+
+  util::ThreadPool::SetDefaultThreadCount(1);
+  std::vector<double> scalar(queries.size());
+  std::vector<bool> scalar_bits(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    scalar[i] = engine.estimate(queries[i]);
+    scalar_bits[i] = engine.is_frequent(queries[i]);
+  }
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    util::ThreadPool::SetDefaultThreadCount(threads);
+    std::vector<double> batched;
+    engine.estimate_many(queries, &batched);
+    ASSERT_EQ(batched.size(), queries.size());
+    ASSERT_EQ(std::memcmp(batched.data(), scalar.data(),
+                          scalar.size() * sizeof(double)),
+              0)
+        << GetParam() << " diverged at " << threads << " threads";
+    std::vector<bool> bits;
+    engine.are_frequent(queries, &bits);
+    ASSERT_EQ(bits, scalar_bits)
+        << GetParam() << " indicator diverged at " << threads << " threads";
   }
 }
 

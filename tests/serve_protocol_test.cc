@@ -131,6 +131,50 @@ TEST(ServeProtocolTest, QueryRequestRejectsOverlongBatch) {
   EXPECT_FALSE(DecodeQueryRequest(body).has_value());
 }
 
+TEST(ServeProtocolTest, RefusedQueryRequestLeavesBodyUntouched) {
+  // The oversize query comes after an encodable one: a refusal must not
+  // leave that first query's bytes behind.
+  QueryRequest request;
+  request.sketch = "s";
+  request.queries = {{1, 2}, std::vector<std::uint32_t>(0x10000, 3)};
+  std::string body = "prefix";
+  EXPECT_FALSE(EncodeQueryRequest(request, &body));
+  EXPECT_EQ(body, "prefix");
+  std::string frame = "prefix";
+  EXPECT_FALSE(EncodeQueryFrame(Opcode::kEstimate, request.sketch,
+                                request.queries, &frame));
+  EXPECT_EQ(frame, "prefix");
+
+  request.queries = {{1}};
+  request.sketch.assign(0x10000, 'n');
+  EXPECT_FALSE(EncodeQueryRequest(request, &body));
+  EXPECT_EQ(body, "prefix");
+
+  // Within every per-field limit but over kMaxBodyBytes as a frame.
+  request.sketch = "s";
+  request.queries.assign(kMaxBodyBytes / (4 * 0xffff) + 1,
+                         std::vector<std::uint32_t>(0xffff, 7));
+  EXPECT_FALSE(EncodeQueryFrame(Opcode::kEstimate, request.sketch,
+                                request.queries, &frame));
+  EXPECT_EQ(frame, "prefix");
+}
+
+TEST(ServeProtocolTest, QueryFrameIsHeaderPlusQueryRequestBody) {
+  QueryRequest request;
+  request.sketch = "baskets";
+  request.queries = {{0, 3, 7}, {}, {41}};
+  std::string body;
+  ASSERT_TRUE(EncodeQueryRequest(request, &body));
+  for (Opcode opcode : {Opcode::kEstimate, Opcode::kAreFrequent}) {
+    std::string want = "x";
+    ASSERT_TRUE(EncodeFrame(opcode, 0, body, &want));
+    std::string got = "x";
+    ASSERT_TRUE(
+        EncodeQueryFrame(opcode, request.sketch, request.queries, &got));
+    EXPECT_EQ(got, want);
+  }
+}
+
 TEST(ServeProtocolTest, DeclaredCountsAreBoundedByActualBodyBytes) {
   // A few-byte body declaring a huge element count must be rejected
   // from the count field alone -- decoders size allocations from it.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -219,6 +220,121 @@ TEST(RouterTest, MixedFlavorCoalescingStaysExact) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// Queries counted for `name` across every pod's stats.
+std::uint64_t PodQueries(const Router& router, const std::string& name) {
+  std::uint64_t total = 0;
+  for (const auto& pod : router.pods()) {
+    for (const SketchStats& s : pod->stats()) {
+      if (s.name == name) total += s.queries;
+    }
+  }
+  return total;
+}
+
+bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// A lone request (no batch in flight) runs on its own queries and answer
+// vector instead of a fused copy; answers and counters must not notice.
+TEST(RouterTest, LoneRequestMatchesEngineAndCountsExactly) {
+  Router router(MakePods(2));
+  const std::string path = MakeSketchFile("router_lone", 28);
+  ASSERT_TRUE(router.AddSketch("s", path));
+  const auto queries = RandomQueries(64, 29);
+  const auto direct = Engine::Open(path);
+  ASSERT_TRUE(direct.has_value());
+  std::vector<double> expected;
+  direct->estimate_many(queries, &expected);
+  std::vector<bool> expected_bits;
+  direct->are_frequent(queries, &expected_bits);
+
+  const CoalesceStats before = router.coalesce_stats();
+  const std::uint64_t queries_before = PodQueries(router, "s");
+  // Stale contents in the caller's vectors must be replaced, not kept.
+  std::vector<double> answers(3, -1.0);
+  ASSERT_EQ(router.EstimateMany("s", queries, &answers), RouteStatus::kOk);
+  EXPECT_TRUE(BitIdentical(answers, expected));
+  std::vector<bool> bits(200, true);
+  ASSERT_EQ(router.AreFrequent("s", queries, &bits), RouteStatus::kOk);
+  EXPECT_EQ(bits, expected_bits);
+
+  const CoalesceStats after = router.coalesce_stats();
+  EXPECT_EQ(after.batches - before.batches, 2u);
+  EXPECT_EQ(after.requests - before.requests, 2u);
+  EXPECT_EQ(after.fused - before.fused, 0u);
+  EXPECT_EQ(PodQueries(router, "s") - queries_before, 2 * queries.size());
+}
+
+// Followers that queue behind a long batch drain as one fused batch: the
+// counters advance by exactly the requests and queries served, and every
+// follower still gets its own serial answers.
+TEST(RouterTest, FusedBatchCountsExactly) {
+  Router router(MakePods(1));
+  const std::string path = MakeSketchFile("router_fused_counts", 30);
+  ASSERT_TRUE(router.AddSketch("s", path));
+  const auto direct = Engine::Open(path);
+  ASSERT_TRUE(direct.has_value());
+  // The leader's batch must outlast the followers' arrival.
+  const auto slow = RandomQueries(200000, 31);
+  constexpr std::size_t kFollowers = 3;
+  std::vector<std::vector<core::Itemset>> batches;
+  std::vector<std::vector<double>> expected(kFollowers);
+  for (std::size_t f = 0; f < kFollowers; ++f) {
+    batches.push_back(RandomQueries(20 + f, 32 + f));
+    direct->estimate_many(batches[f], &expected[f]);
+  }
+  const std::uint64_t per_round =
+      slow.size() + 20 * kFollowers + kFollowers * (kFollowers - 1) / 2;
+
+  // Fusion depends on timing; retry until one round fused, checking the
+  // exact counter advance on every round.
+  bool fused_seen = false;
+  for (int round = 0; round < 20 && !fused_seen; ++round) {
+    const CoalesceStats before = router.coalesce_stats();
+    const std::uint64_t queries_before = PodQueries(router, "s");
+    std::atomic<bool> leader_done{false};
+    std::thread leader([&] {
+      std::vector<double> answers;
+      EXPECT_EQ(router.EstimateMany("s", slow, &answers), RouteStatus::kOk);
+      leader_done = true;
+    });
+    while (!leader_done && router.pod_health()[0].inflight == 0) {
+      std::this_thread::yield();
+    }
+    std::vector<std::thread> followers;
+    std::atomic<int> mismatches{0};
+    for (std::size_t f = 0; f < kFollowers; ++f) {
+      followers.emplace_back([&, f] {
+        std::vector<double> answers;
+        if (router.EstimateMany("s", batches[f], &answers) !=
+                RouteStatus::kOk ||
+            !BitIdentical(answers, expected[f])) {
+          mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (auto& th : followers) th.join();
+    leader.join();
+    EXPECT_EQ(mismatches.load(), 0);
+
+    const CoalesceStats after = router.coalesce_stats();
+    EXPECT_EQ(after.requests - before.requests, 1 + kFollowers);
+    EXPECT_EQ(PodQueries(router, "s") - queries_before, per_round);
+    const std::uint64_t fused = after.fused - before.fused;
+    if (fused != 0) {
+      fused_seen = true;
+      // Exactly the followers that shared one drained batch were fused,
+      // and that batch replaced their separate engine calls.
+      EXPECT_GE(fused, 2u);
+      EXPECT_EQ(after.batches - before.batches, 1 + kFollowers - fused + 1);
+    }
+  }
+  EXPECT_TRUE(fused_seen);
 }
 
 }  // namespace

@@ -217,6 +217,22 @@ TEST(ServeServerTest, UnsupportedQuerySizeGetsUnsupportedQuery) {
       << client.last_error();
 }
 
+// One request holding both an unsupported query size and an
+// out-of-range attribute: the first failing query decides the message.
+TEST(ServeServerTest, FirstFailingQueryDecidesTheError) {
+  Rig rig = MakeRig("RELEASE-ANSWERS", "srv_first_fail", 36);
+  LoopbackServer server(rig.router);
+  SketchClient client(server.TakeClientEnd());
+  EXPECT_FALSE(client.EstimateMany("s", {{0, 1}, {0, 1, 99}}).has_value());
+  EXPECT_EQ(client.last_status(), Status::kUnsupportedQuery);
+  EXPECT_EQ(client.last_error(), "query size unsupported by sketch \"s\"");
+  EXPECT_FALSE(client.AreFrequent("s", {{0, 1, 99}, {0, 1}}).has_value());
+  EXPECT_EQ(client.last_status(), Status::kUnsupportedQuery);
+  EXPECT_EQ(client.last_error(), "attribute out of range for sketch \"s\"");
+  EXPECT_TRUE(client.EstimateMany("s", {{0, 1, 2}}).has_value())
+      << client.last_error();
+}
+
 // ------------------------------------------------- malformed framing
 
 /// Reads one reply frame directly off the transport (bypassing

@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -355,6 +357,90 @@ TEST(ProtocolFuzzTest, MutantFramesNeverCrashDecode) {
     for (auto& c : noise) c = static_cast<char>(rng.UniformInt(256));
     DecodeLikeServer(noise);
   }
+}
+
+// ------------------------------ query-request validator (ViewQueryRequest)
+
+/// The query-request acceptance rule, spelled out field by field as an
+/// independent reference: u16-prefixed name, u32 count (capped, and at
+/// most one query per two remaining bytes), then each query's u16
+/// attribute count and u32 attributes, with no trailing bytes.
+std::optional<serve::QueryRequest> ReferenceDecodeQueryRequest(
+    std::string_view body) {
+  std::size_t pos = 0;
+  const auto get = [&](auto& value) {
+    if (body.size() - pos < sizeof(value)) return false;
+    std::memcpy(&value, body.data() + pos, sizeof(value));
+    pos += sizeof(value);
+    return true;
+  };
+  serve::QueryRequest request;
+  std::uint16_t name_len = 0;
+  if (!get(name_len) || body.size() - pos < name_len) return std::nullopt;
+  request.sketch.assign(body.data() + pos, name_len);
+  pos += name_len;
+  std::uint32_t count = 0;
+  if (!get(count) || count > serve::kMaxQueriesPerRequest ||
+      count > (body.size() - pos) / 2) {
+    return std::nullopt;
+  }
+  for (std::uint32_t q = 0; q < count; ++q) {
+    std::uint16_t attrs = 0;
+    if (!get(attrs)) return std::nullopt;
+    std::vector<std::uint32_t> query(attrs);
+    for (std::uint32_t& attr : query) {
+      if (!get(attr)) return std::nullopt;
+    }
+    request.queries.push_back(std::move(query));
+  }
+  if (pos != body.size()) return std::nullopt;
+  return request;
+}
+
+// The zero-copy validator the server runs, DecodeQueryRequest and the
+// reference rule see the same mutant bodies: all three must accept
+// exactly the same ones and read the same queries out of them.
+TEST(ProtocolFuzzTest, QueryRequestValidatorMatchesDecoderOnMutants) {
+  using namespace serve;
+  std::vector<std::string> bodies;
+  for (const QueryRequest& request :
+       {QueryRequest{"golden", {{0, 3, 7}, {1}, {}, {2, 5, 9, 11}}},
+        QueryRequest{"", {}}, QueryRequest{"s", {{}, {}, {}}},
+        QueryRequest{"a-longer-sketch-name", {{4294967295u}, {0, 1}}}}) {
+    std::string body;
+    ASSERT_TRUE(EncodeQueryRequest(request, &body));
+    bodies.push_back(body);
+  }
+  util::Rng rng(20261017);
+  std::size_t accepted = 0;
+  std::size_t total = 0;
+  for (const std::string& valid : bodies) {
+    for (std::size_t t = 0; t < 2500; ++t, ++total) {
+      const std::string mutant = t == 0 ? valid : Mutate(valid, rng);
+      const auto want = ReferenceDecodeQueryRequest(mutant);
+      const auto view = ViewQueryRequest(mutant);
+      const auto decoded = DecodeQueryRequest(mutant);
+      ASSERT_EQ(view.has_value(), want.has_value()) << "mutant " << t;
+      ASSERT_EQ(decoded.has_value(), want.has_value()) << "mutant " << t;
+      if (!want.has_value()) continue;
+      ++accepted;
+      ASSERT_EQ(decoded->sketch, want->sketch);
+      ASSERT_EQ(decoded->queries, want->queries);
+      ASSERT_EQ(view->sketch, want->sketch);
+      ASSERT_EQ(view->count, want->queries.size());
+      std::vector<std::vector<std::uint32_t>> walked;
+      ForEachQuery(*view, [&walked](const QueryRecord& record) {
+        auto& query = walked.emplace_back();
+        for (std::size_t i = 0; i < record.size; ++i) {
+          query.push_back(record.attr(i));
+        }
+        return true;
+      });
+      ASSERT_EQ(walked, want->queries);
+    }
+  }
+  EXPECT_GT(accepted, bodies.size());
+  EXPECT_LT(accepted, total);
 }
 
 // ----------------------------------- incremental decoder (FrameDecoder)
