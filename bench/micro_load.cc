@@ -20,6 +20,9 @@
 //   open_warm@mapped/copied    steady-state re-open + one query, the
 //                              pod re-admission cost; batch=1, ns per
 //                              open (the PR targets mapped >= 5x faster)
+//   open_warm@mapped_crc       the same mapped re-open of a checksummed
+//                              v2 file: adds the trailer's O(file)
+//                              CRC32C pass on the active kernel tier
 //   evict_reload@mapped/copied SketchPod churn: two sketches ping-pong
 //                              through a budget that holds only one, so
 //                              every Acquire evicts (munmaps) and
@@ -31,6 +34,11 @@
 //                              differs), and answers are asserted
 //                              bit-identical between the paths on every
 //                              run.
+//   crc32c@<tier>              util::Crc32cExtend's kernel on every
+//                              usable tier over a 256 KiB buffer;
+//                              batch=256 (KiB per pass), ns per KiB --
+//                              every tier's checksum is asserted equal
+//                              to the scalar reference's.
 // The mapped rows open arena v2 files; the copied rows force
 // Engine::LoadMode::kCopied on the same v2 files (and the evict_reload
 // copied row serves legacy v1 files, the pre-PR-5 configuration).
@@ -44,6 +52,7 @@
 #include "data/generators.h"
 #include "engine.h"
 #include "serve/pod.h"
+#include "util/kernels.h"
 #include "util/random.h"
 
 namespace {
@@ -138,7 +147,9 @@ int main(int argc, char** argv) {
   const std::string v2b_path = "micro_load_tmp_v2b.ifsk";
   const std::string v1_path = "micro_load_tmp_v1.ifsk";
   const std::string v1b_path = "micro_load_tmp_v1b.ifsk";
+  const std::string crc_path = "micro_load_tmp_v2crc.ifsk";
   if (!built->Save(v2_path) || !built->Save(v2b_path) ||
+      !built->Save(crc_path, nullptr, sketch::SketchChecksum::kCrc32c) ||
       !sketch::SaveSketchFile(v1_path, built->file(),
                               sketch::arena::kVersionLegacy) ||
       !sketch::SaveSketchFile(v1b_path, built->file(),
@@ -185,6 +196,20 @@ int main(int argc, char** argv) {
       const double ns = ElapsedNs(start) / static_cast<double>(rounds);
       warm_ns[m] = ns;
       rows.push_back({std::string("open_warm") + suffix[m], 1, ns});
+    }
+
+    // -- open_warm@mapped_crc: the mapped re-open of a checksummed file.
+    if (modes[m] == Engine::LoadMode::kMapped) {
+      const auto start = std::chrono::steady_clock::now();
+      for (std::size_t r = 0; r < rounds; ++r) {
+        auto engine = Engine::Open(crc_path, modes[m]);
+        if (!engine.has_value() || engine->estimate(probe[0]) < 0.0) {
+          std::fprintf(stderr, "error: checksummed warm open failed\n");
+          return 1;
+        }
+      }
+      rows.push_back({"open_warm@mapped_crc", 1,
+                      ElapsedNs(start) / static_cast<double>(rounds)});
     }
 
     // -- evict_reload: pod churn with a budget that holds one sketch.
@@ -242,8 +267,34 @@ int main(int argc, char** argv) {
     }
   }
 
+  // -- crc32c@<tier>: the checksum kernel alone, per usable tier.
+  {
+    constexpr std::size_t kKiB = 256;
+    std::vector<unsigned char> bytes(kKiB * 1024);
+    util::Rng crc_rng(4712);
+    for (auto& b : bytes) b = static_cast<unsigned char>(crc_rng.Next());
+    const std::uint32_t reference = util::ScalarKernels().crc32c_extend(
+        0, bytes.data(), bytes.size());
+    for (util::KernelTier tier : util::SupportedKernelTiers()) {
+      const util::BitKernels* kernels = util::KernelsForTier(tier);
+      const auto start = std::chrono::steady_clock::now();
+      for (std::size_t r = 0; r < rounds; ++r) {
+        if (kernels->crc32c_extend(0, bytes.data(), bytes.size()) !=
+            reference) {
+          std::fprintf(stderr, "error: crc32c@%s diverged from scalar\n",
+                       util::KernelTierName(tier));
+          return 1;
+        }
+      }
+      rows.push_back({std::string("crc32c@") + util::KernelTierName(tier),
+                      kKiB,
+                      ElapsedNs(start) / static_cast<double>(rounds * kKiB)});
+    }
+  }
+
   std::remove(v2_path.c_str());
   std::remove(v2b_path.c_str());
+  std::remove(crc_path.c_str());
   std::remove(v1_path.c_str());
   std::remove(v1b_path.c_str());
 

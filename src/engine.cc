@@ -1,7 +1,6 @@
 #include "engine.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "sketch/builtin_algorithms.h"
 #include "util/check.h"
@@ -11,22 +10,6 @@ namespace {
 
 void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
-}
-
-/// The file's IFSK version from its first 6 bytes: a tiny read that
-/// decides mapped-vs-copied without paying for a mapping (or, on the
-/// no-mmap fallback, a whole-file read) that a v1 file would
-/// immediately discard. Returns -1 when the file cannot be opened at
-/// all (distinct from 0 = readable but not IFSK, so kMapped errors can
-/// say which).
-int PeekFileVersion(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return -1;
-  unsigned char head[6];
-  in.read(reinterpret_cast<char*>(head), sizeof(head));
-  if (in.gcount() <= 0) return 0;
-  return sketch::PeekSketchVersion(head,
-                                   static_cast<std::size_t>(in.gcount()));
 }
 
 std::string FormatSketchError(const std::string& path,
@@ -85,63 +68,52 @@ std::optional<Engine> Engine::FromParts(sketch::SketchFile file,
 std::optional<Engine> Engine::Open(const std::string& path, LoadMode mode,
                                    std::string* error) {
   if (mode != LoadMode::kCopied) {
-    int version = PeekFileVersion(path);
-    std::shared_ptr<const util::MappedFile> mapping;
-    if (version < 0) {
-      // Unreadable via the tiny peek. Attempt the mapping anyway: if it
-      // also fails we have the real I/O error to report; if a concurrent
-      // writer raced the peek and the file is mappable now, keep the
-      // mapping and classify it from its own bytes.
-      std::string map_error;
-      mapping = util::MappedFile::Open(path, &map_error);
-      if (mapping == nullptr) {
-        if (mode == LoadMode::kMapped) {
-          SetError(error, map_error);
-          return std::nullopt;
-        }
-        // kAuto: fall through to the copying parser's error report.
-      } else {
-        version =
-            sketch::PeekSketchVersion(mapping->data(), mapping->size());
-      }
-    }
-    if (version == sketch::arena::kVersionArena) {
-      if (mapping == nullptr) {
-        std::string map_error;
-        mapping = util::MappedFile::Open(path, &map_error);
-        if (mapping == nullptr) {
-          SetError(error, map_error);
-          return std::nullopt;
-        }
-      }
-      sketch::SketchError view_error;
-      auto view = sketch::ViewSketchImage(mapping->data(), mapping->size(),
-                                          &view_error);
-      if (!view.has_value()) {
-        SetError(error, FormatSketchError(path, view_error));
+    // Map first and classify the version from the mapped bytes, so the
+    // bytes that decide mapped-vs-copied are the bytes that get viewed:
+    // an atomic rename landing mid-open cannot pair one file's version
+    // with another file's contents.
+    std::string map_error;
+    std::shared_ptr<const util::MappedFile> mapping =
+        util::MappedFile::Open(path, &map_error);
+    if (mapping == nullptr) {
+      if (mode == LoadMode::kMapped) {
+        SetError(error, map_error);
         return std::nullopt;
       }
-      auto engine =
-          FromParts(std::move(view->file), LoadPath::kMapped, error);
-      if (!engine.has_value()) {
-        if (error != nullptr) *error = path + ": " + *error;
+      // kAuto: fall through to the copying parser's error report.
+    } else {
+      const std::uint16_t version =
+          sketch::PeekSketchVersion(mapping->data(), mapping->size());
+      if (version == sketch::arena::kVersionArena) {
+        sketch::SketchError view_error;
+        auto view = sketch::ViewSketchImage(mapping->data(), mapping->size(),
+                                            &view_error);
+        if (!view.has_value()) {
+          SetError(error, FormatSketchError(path, view_error));
+          return std::nullopt;
+        }
+        auto engine =
+            FromParts(std::move(view->file), LoadPath::kMapped, error);
+        if (!engine.has_value()) {
+          if (error != nullptr) *error = path + ": " + *error;
+          return std::nullopt;
+        }
+        engine->mapping_ = std::move(mapping);
+        engine->columns_ = view->columns;
+        return engine;
+      }
+      if (mode == LoadMode::kMapped) {
+        SetError(error,
+                 version == sketch::arena::kVersionLegacy
+                     ? path + ": legacy v1 file has no arena sections; " +
+                           "mapped load needs v2 (re-save to upgrade)"
+                     : path + ": not a well-formed IFSK file");
         return std::nullopt;
       }
-      engine->mapping_ = std::move(mapping);
-      engine->columns_ = view->columns;
-      return engine;
     }
-    if (mode == LoadMode::kMapped) {
-      SetError(error,
-               version == sketch::arena::kVersionLegacy
-                   ? path + ": legacy v1 file has no arena sections; " +
-                         "mapped load needs v2 (re-save to upgrade)"
-                   : path + ": not a well-formed IFSK file");
-      return std::nullopt;
-    }
-    // v1 (or not IFSK at all, or unreadable): fall through to the
-    // copying parser, which reports precise offsets (or the open error)
-    // for whatever is wrong.
+    // v1 (or not IFSK at all, or unmappable): fall through to the
+    // copying parser, which reads either version and reports precise
+    // offsets (or the open error) for whatever is wrong.
   }
 
   sketch::SketchError read_error;

@@ -156,8 +156,11 @@ std::optional<SketchView> ViewSketchImage(const unsigned char* data,
   // does, or exactly arena::kTrailerBytes later carrying a valid
   // integrity trailer (the stream reader enforces the same two-ended
   // rule after the last section, so the acceptance sets still agree).
-  // Validating the trailer here costs one O(file) CRC pass -- the price
-  // a checksummed file opts into even on the zero-copy path.
+  // Validating the trailer here costs one O(file) CRC pass on the active
+  // kernel tier -- the price a checksummed file opts into even on the
+  // zero-copy path: ~63 ns/KiB on the SSE4.2 tiers (about as long as
+  // the rest of a warm mapped open for a ~300 KB file), ~650 ns/KiB on
+  // the scalar tier.
   if (layout.end_offset != size) {
     if (size != layout.end_offset + arena::kTrailerBytes) {
       cursor.Fail(count_at, "image size does not match section table");

@@ -1,59 +1,12 @@
 #include "util/crc32c.h"
 
+#include "util/kernels.h"
+
 namespace ifsketch::util {
-namespace {
-
-constexpr std::uint32_t kPoly = 0x82F63B78u;  // reflected Castagnoli
-
-struct Tables {
-  std::uint32_t t[8][256];
-};
-
-constexpr Tables MakeTables() {
-  Tables tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1) != 0 ? kPoly : 0);
-    }
-    tables.t[0][i] = crc;
-  }
-  for (int k = 1; k < 8; ++k) {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      const std::uint32_t prev = tables.t[k - 1][i];
-      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xFF];
-    }
-  }
-  return tables;
-}
-
-constexpr Tables kTables = MakeTables();
-
-}  // namespace
 
 std::uint32_t Crc32cExtend(std::uint32_t crc, const void* data,
                            std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  const auto& t = kTables.t;
-  crc = ~crc;
-  // Slice-by-8: fold the current CRC into the first four bytes, look all
-  // eight up in per-lane tables (byte loads, so byte order of the host
-  // never matters).
-  while (size >= 8) {
-    const std::uint32_t lo =
-        crc ^ (static_cast<std::uint32_t>(p[0]) |
-               static_cast<std::uint32_t>(p[1]) << 8 |
-               static_cast<std::uint32_t>(p[2]) << 16 |
-               static_cast<std::uint32_t>(p[3]) << 24);
-    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
-          t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
-    p += 8;
-    size -= 8;
-  }
-  while (size-- > 0) {
-    crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xFF];
-  }
-  return ~crc;
+  return ActiveKernels().crc32c_extend(crc, data, size);
 }
 
 }  // namespace ifsketch::util

@@ -7,10 +7,24 @@
 // torn write or bit rot can introduce -- which is exactly the failure
 // model the recovery path truncates on.
 //
-// Software slice-by-8 (~1 byte/cycle), endian-neutral, no dependencies.
-// The running-state convention composes: Crc32cExtend(Crc32cExtend(0, a),
-// b) equals Crc32c(a concatenated with b), so stream parsers can
-// accumulate while reading.
+// Crc32cExtend dispatches through the active kernel tier
+// (util/kernels.h), so IFSKETCH_KERNEL and SetKernelTier pick the CRC
+// implementation along with the popcount kernels:
+//
+//   scalar        software slice-by-8, ~1 byte/cycle; the conformance
+//                 reference and the only path on non-x86 builds.
+//   avx2, avx512  SSE4.2 crc32 over three interleaved 4 KiB lanes folded
+//                 by a table-driven multiply.
+//
+// Measured with bench/micro_load's crc32c@<tier> rows on a 4-vCPU
+// AVX-512 Xeon: ~640 ns/KiB (1.6 GB/s) scalar, ~63 ns/KiB (16 GB/s)
+// on the SSE4.2 tiers.
+//
+// Every tier returns bit-identical results; every call checksums every
+// byte it is given (nothing is cached). The running-state convention
+// composes: Crc32cExtend(Crc32cExtend(0, a), b) equals Crc32c(a
+// concatenated with b), so stream parsers can accumulate while reading
+// -- even across a tier switch between the two calls.
 
 #ifndef IFSKETCH_UTIL_CRC32C_H_
 #define IFSKETCH_UTIL_CRC32C_H_

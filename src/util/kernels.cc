@@ -47,12 +47,66 @@ void ScalarAndInto(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t i = 0; i < n; ++i) dst[i] &= src[i];
 }
 
+// CRC32C (reflected Castagnoli), software slice-by-8: ~1 byte/cycle,
+// endian-neutral, and the only CRC path on non-x86 builds.
+constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;
+
+struct Crc32cTables {
+  std::uint32_t t[8][256];
+};
+
+constexpr Crc32cTables MakeCrc32cTables() {
+  Crc32cTables tables{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) != 0 ? kCrc32cPoly : 0);
+    }
+    tables.t[0][i] = crc;
+  }
+  for (int k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
+
+std::uint32_t ScalarCrc32cExtend(std::uint32_t crc, const void* data,
+                                 std::size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  const auto& t = kCrc32cTables.t;
+  crc = ~crc;
+  // Slice-by-8: fold the current CRC into the first four bytes, look all
+  // eight up in per-lane tables (byte loads, so byte order of the host
+  // never matters).
+  while (size >= 8) {
+    const std::uint32_t lo =
+        crc ^ (static_cast<std::uint32_t>(p[0]) |
+               static_cast<std::uint32_t>(p[1]) << 8 |
+               static_cast<std::uint32_t>(p[2]) << 16 |
+               static_cast<std::uint32_t>(p[3]) << 24);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    p += 8;
+    size -= 8;
+  }
+  while (size-- > 0) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p++) & 0xFF];
+  }
+  return ~crc;
+}
+
 constexpr BitKernels kScalarKernels = {
     "scalar",
     &ScalarPopcountWords,
     &ScalarAndCount,
     &ScalarAndCountMany,
     &ScalarAndInto,
+    &ScalarCrc32cExtend,
 };
 
 // --------------------------------------------------- CPU feature checks
@@ -65,15 +119,18 @@ bool CpuSupports(KernelTier tier) {
 #if defined(__x86_64__) || defined(__i386__)
       // __builtin_cpu_supports also verifies the OS saves the YMM/ZMM
       // state (XGETBV), so a positive answer means the instructions are
-      // actually executable, not just advertised.
-      return __builtin_cpu_supports("avx2") != 0;
+      // actually executable, not just advertised. SSE4.2 is the crc32
+      // instruction behind the tier's CRC32C entry.
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("sse4.2") != 0;
 #else
       return false;
 #endif
     case KernelTier::kAvx512:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx512f") != 0 &&
-             __builtin_cpu_supports("avx512vpopcntdq") != 0;
+             __builtin_cpu_supports("avx512vpopcntdq") != 0 &&
+             __builtin_cpu_supports("sse4.2") != 0;
 #else
       return false;
 #endif

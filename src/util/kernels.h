@@ -1,18 +1,23 @@
-// Runtime-dispatched SIMD kernels for the word-stream bit operations.
+// Runtime-dispatched SIMD kernels for the word-stream bit operations and
+// the CRC32C integrity checksum.
 //
-// Every hot query path in this repo bottoms out in the same four loops
-// over 64-bit words: popcount a stream, popcount the AND of two streams,
+// Every hot query path in this repo reduces to the same operations over
+// 64-bit words: popcount a stream, popcount the AND of two streams,
 // popcount the AND of many streams, and AND one stream into another.
-// BitKernels packages those four entry points as a vtable with one
-// implementation per ISA tier:
+// Every durable byte -- sketch-file trailers, WAL records, segment
+// headers, checkpoints -- is verified by CRC32C over a byte stream
+// (util/crc32c.h). BitKernels packages those five entry points as a
+// vtable with one implementation per ISA tier:
 //
-//   scalar   portable C++ (std::popcount); always compiled, always the
-//            conformance reference.
+//   scalar   portable C++ (std::popcount, slice-by-8 CRC tables); always
+//            compiled, always the conformance reference.
 //   avx2     256-bit Mula/Harley-Seal popcount (vpshufb nibble lookup +
-//            carry-save adder tree); compiled only when the compiler
-//            accepts -mavx2.
-//   avx512   512-bit VPOPCNTDQ; compiled only when the compiler accepts
-//            -mavx512f -mavx512vpopcntdq.
+//            carry-save adder tree) and SSE4.2 crc32 over three
+//            interleaved lanes; compiled only when the compiler accepts
+//            -mavx2 (which implies SSE4.2).
+//   avx512   512-bit VPOPCNTDQ, and the avx2 tier's CRC32C; compiled
+//            only when the compiler accepts -mavx512f -mavx512vpopcntdq
+//            (and -mavx2, for the shared CRC32C).
 //
 // The active tier is selected once, at first use, from CPUID feature
 // detection -- the best compiled tier the running CPU supports -- and
@@ -23,9 +28,10 @@
 //                                        flags in ifsketch_cli and
 //                                        bench/micro_engine)
 //
-// Bit-identity guarantee: every tier returns exactly the same counts and
-// stores exactly the same words as the scalar reference on every input,
-// including n == 0 (no pointer is dereferenced when a stream is empty).
+// Bit-identity guarantee: every tier returns exactly the same counts,
+// stores exactly the same words and computes exactly the same checksums
+// as the scalar reference on every input, including n == 0 (no pointer
+// is dereferenced when a stream is empty).
 // tests/util_kernels_test.cc enforces this differentially for every tier
 // the build compiled in and the CPU supports.
 //
@@ -43,8 +49,9 @@
 
 namespace ifsketch::util {
 
-/// One ISA tier's implementations of the four word-stream entry points.
-/// All functions tolerate n == 0 (and then never touch the pointers).
+/// One ISA tier's implementations of the five entry points: four
+/// word-stream bit operations and CRC32C. All functions tolerate n == 0
+/// (and then never touch the pointers).
 struct BitKernels {
   /// Tier name: "scalar", "avx2" or "avx512".
   const char* name;
@@ -64,6 +71,12 @@ struct BitKernels {
   /// dst[i] &= src[i] over i in [0, n).
   void (*and_into)(std::uint64_t* dst, const std::uint64_t* src,
                    std::size_t n);
+
+  /// Extends a running CRC32C over data[0..size), with the
+  /// util::Crc32cExtend convention (pass 0 to start; the pre/post
+  /// inversion happens inside).
+  std::uint32_t (*crc32c_extend)(std::uint32_t crc, const void* data,
+                                 std::size_t size);
 };
 
 /// Dispatch tiers, ascending by capability.

@@ -8,11 +8,16 @@
 // operand streams register-wise, so a fused and_count_many is one pass at
 // the same per-word cost as a plain popcount.
 //
+// CRC32C runs on the SSE4.2 crc32 instruction (-mavx2 implies SSE4.2):
+// three interleaved lanes keep its pipeline full, and a table-driven
+// GF(2) multiply folds them back into one CRC. The avx512 tier points at
+// the same function.
+//
 // This TU is the only one compiled with -mavx2 (CMake sets the flag per
 // file); when the flag is absent (non-x86, or a compiler without AVX2
 // support) the whole implementation compiles away and the getter returns
-// nullptr. Callers dispatch through it only after a CPUID check, so no
-// AVX2 instruction can execute on a CPU that lacks it.
+// nullptr. Callers dispatch through it only after a CPUID check for AVX2
+// and SSE4.2, so no such instruction can execute on a CPU that lacks it.
 
 #include "util/kernels_impl.h"
 
@@ -22,6 +27,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace ifsketch::util::internal {
 namespace {
@@ -162,15 +168,108 @@ void Avx2AndInto(std::uint64_t* dst, const std::uint64_t* src,
   for (; i < n; ++i) dst[i] &= src[i];
 }
 
+// ---------------------------------------------------------------- CRC32C
+//
+// crc32 has a 3-cycle latency but issues once per cycle, so a single
+// dependent stream runs at a third of the instruction's throughput. Each
+// 12 KiB block is therefore checksummed as three independent 4 KiB lanes
+// A, B, C. The raw (uninverted) CRC register is linear, so with
+// L = x^(8 * 4096) mod P the block's CRC is
+//   crc(A B C) = (crc(A) * L + crc(B)) * L + crc(C)        (mod P),
+// where lanes B and C start from 0. Multiplying by the constant L is a
+// GF(2)-linear map on 32 bits, precomputed at compile time as four
+// 256-entry byte tables. Whatever is left after the last whole block
+// runs as a single stream.
+
+constexpr std::size_t kCrcLaneBytes = 4096;
+constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;  // reflected Castagnoli
+
+// a * b mod P in the reflected representation (bit 31 is x^0).
+constexpr std::uint32_t MultModP(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1) != 0 ? (b >> 1) ^ kCrc32cPoly : b >> 1;  // b *= x
+  }
+  return product;
+}
+
+// x^(8 * bytes) mod P: what `bytes` zero bytes multiply the register by.
+constexpr std::uint32_t XPowBytesModP(std::size_t bytes) {
+  std::uint32_t power = 1u << 31;  // x^0
+  for (std::size_t bit = 0; bit < 8 * bytes; ++bit) {
+    power = (power & 1) != 0 ? (power >> 1) ^ kCrc32cPoly : power >> 1;
+  }
+  return power;
+}
+
+struct LaneShiftTables {
+  std::uint32_t t[4][256];
+};
+
+// t[i][b] = (b << 8i) * x^(8 * kCrcLaneBytes) mod P.
+constexpr LaneShiftTables MakeLaneShiftTables() {
+  LaneShiftTables tables{};
+  const std::uint32_t shift = XPowBytesModP(kCrcLaneBytes);
+  for (int i = 0; i < 4; ++i) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      tables.t[i][b] = MultModP(shift, b << (8 * i));
+    }
+  }
+  return tables;
+}
+
+constexpr LaneShiftTables kLaneShift = MakeLaneShiftTables();
+
+// crc * x^(8 * kCrcLaneBytes) mod P: the register after one lane of zeros.
+inline std::uint32_t ShiftOverLane(std::uint32_t crc) {
+  return kLaneShift.t[0][crc & 0xFF] ^ kLaneShift.t[1][(crc >> 8) & 0xFF] ^
+         kLaneShift.t[2][(crc >> 16) & 0xFF] ^ kLaneShift.t[3][crc >> 24];
+}
+
+inline std::uint64_t Load64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
 constexpr BitKernels kAvx2Kernels = {
     "avx2",
     &Avx2PopcountWords,
     &Avx2AndCount,
     &Avx2AndCountMany,
     &Avx2AndInto,
+    &Sse42Crc32cExtend,
 };
 
 }  // namespace
+
+std::uint32_t Sse42Crc32cExtend(std::uint32_t crc, const void* data,
+                                std::size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t crc0 = ~crc;
+  while (size >= 3 * kCrcLaneBytes) {
+    std::uint64_t crc1 = 0;
+    std::uint64_t crc2 = 0;
+    for (std::size_t i = 0; i < kCrcLaneBytes; i += 8) {
+      crc0 = _mm_crc32_u64(crc0, Load64(p + i));
+      crc1 = _mm_crc32_u64(crc1, Load64(p + kCrcLaneBytes + i));
+      crc2 = _mm_crc32_u64(crc2, Load64(p + 2 * kCrcLaneBytes + i));
+    }
+    const std::uint32_t ab =
+        ShiftOverLane(static_cast<std::uint32_t>(crc0)) ^
+        static_cast<std::uint32_t>(crc1);
+    crc0 = ShiftOverLane(ab) ^ static_cast<std::uint32_t>(crc2);
+    p += 3 * kCrcLaneBytes;
+    size -= 3 * kCrcLaneBytes;
+  }
+  for (; size >= 8; size -= 8, p += 8) {
+    crc0 = _mm_crc32_u64(crc0, Load64(p));
+  }
+  auto tail = static_cast<std::uint32_t>(crc0);
+  for (; size > 0; --size) tail = _mm_crc32_u8(tail, *p++);
+  return ~tail;
+}
 
 const BitKernels* Avx2KernelsOrNull() { return &kAvx2Kernels; }
 

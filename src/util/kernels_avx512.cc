@@ -4,7 +4,7 @@
 // vpopcntq per 512-bit vector (8 words) accumulated lane-wise, reduced
 // once at the end. The fused entry points AND the operand streams in
 // registers before the popcount, same single-pass shape as the other
-// tiers.
+// tiers. CRC32C reuses the avx2 tier's SSE4.2 implementation.
 //
 // This TU is the only one compiled with -mavx512f -mavx512vpopcntdq
 // (CMake sets the flags per file) and self-gates on the macros those
@@ -103,6 +103,7 @@ constexpr BitKernels kAvx512Kernels = {
     &Avx512AndCount,
     &Avx512AndCountMany,
     &Avx512AndInto,
+    &Sse42Crc32cExtend,  // kernels_avx2.cc: crc32 gains nothing from zmm
 };
 
 }  // namespace

@@ -10,6 +10,9 @@
 #ifndef IFSKETCH_UTIL_KERNELS_IMPL_H_
 #define IFSKETCH_UTIL_KERNELS_IMPL_H_
 
+#include <cstddef>
+#include <cstdint>
+
 #include "util/kernels.h"
 
 namespace ifsketch::util::internal {
@@ -17,6 +20,13 @@ namespace ifsketch::util::internal {
 /// The AVX2 vtable, or nullptr when the TU was compiled without -mavx2.
 /// Callers must still check CPU support before dispatching through it.
 const BitKernels* Avx2KernelsOrNull();
+
+/// CRC32C on the SSE4.2 crc32 instruction, with the
+/// BitKernels::crc32c_extend contract. Defined in kernels_avx2.cc only
+/// when that TU is compiled with -mavx2 (CMake compiles the avx512 TU
+/// with its flags only then, so the avx512 vtable can share it).
+std::uint32_t Sse42Crc32cExtend(std::uint32_t crc, const void* data,
+                                std::size_t size);
 
 /// The AVX-512 (F + VPOPCNTDQ) vtable, or nullptr when compiled without
 /// the avx512 flags. Same CPU-support caveat as above.

@@ -16,8 +16,10 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/generators.h"
@@ -234,6 +236,80 @@ TEST(MappedLoadTest, AutoMapsArenaFilesAndCopiesLegacyFiles) {
   EXPECT_NE(v2->info().find("mapped"), std::string::npos);
   EXPECT_NE(v2->info().find("v2"), std::string::npos);
   EXPECT_NE(v1->info().find("copied"), std::string::npos);
+}
+
+// Engine::Open(kAuto) classifies a file by its own mapped bytes: v2
+// images are viewed in place, everything else falls through to the
+// copying parser and its error report. Pins the load path and the exact
+// error text for every kind of file the classification can meet.
+TEST(MappedLoadTest, AutoOpenLoadPathAndErrorTextPerFileKind) {
+  const core::Database db = TestDb();
+  util::Rng rng(19);
+  auto built = Engine::Build(db, "SUBSAMPLE", TestParams(), rng);
+  ASSERT_TRUE(built.has_value());
+  const std::string dir = testing::TempDir() + "/";
+
+  const std::string v2_path = SaveTemp(*built, "kind_v2");
+  const std::string crc_path = dir + "kind_v2_crc.ifsk";
+  std::string save_error;
+  ASSERT_TRUE(built->Save(crc_path, &save_error,
+                          sketch::SketchChecksum::kCrc32c))
+      << save_error;
+  const std::string v1_path = dir + "kind_v1.ifsk";
+  ASSERT_TRUE(sketch::SaveSketchFile(v1_path, built->file(),
+                                     sketch::arena::kVersionLegacy));
+
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string image = slurp(v2_path);
+  const std::string crc_image = slurp(crc_path);
+  ASSERT_GT(image.size(), 64u);
+  const auto write = [&](const std::string& name, const std::string& bytes) {
+    const std::string path = dir + name;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return path;
+  };
+  const std::string cut_path = write("kind_cut.ifsk", image.substr(0, 64));
+  const std::string torn_path =
+      write("kind_torn.ifsk", crc_image.substr(0, crc_image.size() - 1));
+  const std::string stub_path = write("kind_stub.ifsk", image.substr(0, 3));
+  const std::string text_path = write("kind_text.ifsk", "not a sketch\n");
+  const std::string empty_path = write("kind_empty.ifsk", "");
+  const std::string missing_path = dir + "kind_missing.ifsk";
+
+  for (const std::string& path : {v2_path, crc_path}) {
+    std::string error;
+    auto engine = Engine::Open(path, Engine::LoadMode::kAuto, &error);
+    ASSERT_TRUE(engine.has_value()) << error;
+    EXPECT_EQ(engine->load_path(), Engine::LoadPath::kMapped) << path;
+  }
+  {
+    std::string error;
+    auto engine = Engine::Open(v1_path, Engine::LoadMode::kAuto, &error);
+    ASSERT_TRUE(engine.has_value()) << error;
+    EXPECT_EQ(engine->load_path(), Engine::LoadPath::kCopied);
+  }
+
+  const std::pair<std::string, std::string> failures[] = {
+      {cut_path, cut_path + ": byte 63: section count: image truncated"},
+      {torn_path,
+       torn_path + ": byte 63: image size does not match section table"},
+      {stub_path, stub_path + ": byte 0: magic: file truncated"},
+      {text_path,
+       text_path + ": byte 0: bad magic (not an IFSK sketch file)"},
+      {empty_path, empty_path + ": byte 0: magic: file truncated"},
+      {missing_path, missing_path + ": byte 0: cannot open file"},
+  };
+  for (const auto& [path, expected] : failures) {
+    std::string error;
+    EXPECT_FALSE(
+        Engine::Open(path, Engine::LoadMode::kAuto, &error).has_value());
+    EXPECT_EQ(error, expected);
+  }
 }
 
 TEST(MappedLoadTest, ResidentBytesIsMappedImageSize) {

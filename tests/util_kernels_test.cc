@@ -11,7 +11,14 @@
 //      block, and every tail residue) through each BitKernels entry
 //      point and require exact equality with ScalarKernels().
 //
-//   2. End-to-end bit-identity: for every registered algorithm, the
+//   2. CRC32C conformance: every tier's crc32c_extend must equal the
+//      scalar slice-by-8 reference at every length 0..257 and byte
+//      offset 0..7 (every tail residue and misalignment), around the
+//      three-lane 12 KiB block edges, and on a file-sized buffer; and a
+//      running CRC extended on one tier must continue correctly on any
+//      other.
+//
+//   3. End-to-end bit-identity: for every registered algorithm, the
 //      engine's estimate_many / are_frequent / mine answers must be
 //      bit-identical under every dispatch tier (the IFSKETCH_KERNEL
 //      contract; CI additionally runs the whole suite once with
@@ -34,6 +41,7 @@
 #include "engine.h"
 #include "sketch/sketch_file.h"
 #include "util/bitvector.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -156,6 +164,62 @@ TEST_P(KernelTierTest, ZeroWordsNeverTouchPointers) {
   const std::uint64_t* ops[1] = {nullptr};
   EXPECT_EQ(kernels_->and_count_many(ops, 1, 0), 0u);
   kernels_->and_into(nullptr, nullptr, 0);
+  EXPECT_EQ(kernels_->crc32c_extend(0, nullptr, 0), 0u);
+  EXPECT_EQ(kernels_->crc32c_extend(0xDEADBEEFu, nullptr, 0), 0xDEADBEEFu);
+}
+
+std::vector<unsigned char> RandomBytes(std::size_t n, Rng& rng) {
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  return bytes;
+}
+
+TEST_P(KernelTierTest, Crc32cKnownAnswer) {
+  const char kCheck[] = "123456789";
+  EXPECT_EQ(kernels_->crc32c_extend(0, kCheck, 9), 0xE3069283u);
+}
+
+TEST_P(KernelTierTest, Crc32cMatchesScalarOnAllLengthsOffsetsAndSeeds) {
+  const BitKernels& scalar = ScalarKernels();
+  Rng rng(105);
+  const std::vector<unsigned char> bytes = RandomBytes(257 + 7, rng);
+  for (std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (std::size_t n = 0; n <= 257; ++n) {
+        const unsigned char* p = bytes.data() + offset;
+        ASSERT_EQ(kernels_->crc32c_extend(seed, p, n),
+                  scalar.crc32c_extend(seed, p, n))
+            << KernelTierName(GetParam()) << " diverged at n=" << n
+            << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
+}
+
+// Lengths straddling the hardware tier's three-lane 12 KiB blocks, and
+// the 286,800-byte sketch file of the serve_churn benchmark workload.
+TEST_P(KernelTierTest, Crc32cMatchesScalarAroundLaneBlocksAndOnFileSizes) {
+  const BitKernels& scalar = ScalarKernels();
+  Rng rng(106);
+  constexpr std::size_t kLane = 4096;
+  const std::vector<unsigned char> bytes = RandomBytes(286800 + 3, rng);
+  const std::vector<unsigned char> ones(6 * kLane + 7, 0xFF);
+  for (std::size_t n : {3 * kLane - 1, 3 * kLane, 3 * kLane + 1,
+                        6 * kLane + 7, std::size_t{286800}}) {
+    for (std::size_t offset : {0u, 3u}) {
+      for (std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+        ASSERT_EQ(kernels_->crc32c_extend(seed, bytes.data() + offset, n),
+                  scalar.crc32c_extend(seed, bytes.data() + offset, n))
+            << KernelTierName(GetParam()) << " diverged at n=" << n
+            << " offset=" << offset << " seed=" << seed;
+      }
+    }
+    if (n <= ones.size()) {
+      ASSERT_EQ(kernels_->crc32c_extend(0, ones.data(), n),
+                scalar.crc32c_extend(0, ones.data(), n))
+          << KernelTierName(GetParam()) << " diverged on 0xFF at n=" << n;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTiers, KernelTierTest,
@@ -241,6 +305,29 @@ TEST_F(KernelDispatchTest, ZeroBitVectorsAreValidOperands) {
     BitVector acc = empty_a;
     acc &= empty_b;
     EXPECT_EQ(acc, empty_a);
+  }
+}
+
+// A running CRC32C is tier-independent state: util::Crc32cExtend started
+// on one tier and finished on another (the dispatch switching between
+// the two calls) equals the whole-buffer CRC.
+TEST_F(KernelDispatchTest, Crc32cExtendComposesAcrossTiers) {
+  Rng rng(7002);
+  const std::vector<unsigned char> bytes = RandomBytes(3 * 4096 * 2 + 9, rng);
+  const std::uint32_t whole =
+      ScalarKernels().crc32c_extend(0, bytes.data(), bytes.size());
+  for (KernelTier first : SupportedKernelTiers()) {
+    for (KernelTier second : SupportedKernelTiers()) {
+      for (std::size_t split : {std::size_t{0}, std::size_t{5},
+                                std::size_t{3 * 4096 + 1}, bytes.size()}) {
+        ASSERT_TRUE(SetKernelTier(first));
+        std::uint32_t crc = Crc32cExtend(0, bytes.data(), split);
+        ASSERT_TRUE(SetKernelTier(second));
+        crc = Crc32cExtend(crc, bytes.data() + split, bytes.size() - split);
+        ASSERT_EQ(crc, whole) << KernelTierName(first) << " then "
+                              << KernelTierName(second) << " split=" << split;
+      }
+    }
   }
 }
 
