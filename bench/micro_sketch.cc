@@ -23,6 +23,18 @@ core::SketchParams Params() {
   return p;
 }
 
+// The repo benchmark's sketch shape (perfbench workloads): k = 3,
+// delta = 0.05, for-all estimator guarantee.
+core::SketchParams BenchmarkParams(double eps) {
+  core::SketchParams p;
+  p.k = 3;
+  p.eps = eps;
+  p.delta = 0.05;
+  p.scope = core::Scope::kForAll;
+  p.answer = core::Answer::kEstimator;
+  return p;
+}
+
 void BM_SubsampleBuild(benchmark::State& state) {
   util::Rng rng(1);
   const core::Database db = data::UniformRandom(
@@ -34,6 +46,20 @@ void BM_SubsampleBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubsampleBuild)->Arg(10000)->Arg(100000);
+
+// serve_churn's per-file build: 100k x 64 rows, eps 0.02 -> s = 17,908
+// rows drawn by Floyd's algorithm.
+void BM_SubsampleWorBuild(benchmark::State& state) {
+  util::Rng rng(6);
+  const core::Database db = data::UniformRandom(
+      static_cast<std::size_t>(state.range(0)), 64, 0.4, rng);
+  sketch::SubsampleWithoutReplacementSketch algo;
+  const auto p = BenchmarkParams(0.02);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(algo.Build(db, p, rng));
+  }
+}
+BENCHMARK(BM_SubsampleWorBuild)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_SubsampleQuery(benchmark::State& state) {
   util::Rng rng(2);
@@ -74,10 +100,12 @@ void BM_ReleaseAnswersQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ReleaseAnswersQuery);
 
+// ingest_live's per-row cost: d = 32, eps 0.05 -> s = 2,440 reservoir
+// slots, one coin per slot per row.
 void BM_ReservoirObserve(benchmark::State& state) {
   util::Rng rng(5);
-  sketch::ReservoirBuilder builder(64, Params(), rng);
-  const util::BitVector row = rng.RandomBits(64);
+  sketch::ReservoirBuilder builder(32, BenchmarkParams(0.05), rng);
+  const util::BitVector row = rng.RandomBits(32);
   for (auto _ : state) {
     builder.Observe(row);
   }

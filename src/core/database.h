@@ -4,10 +4,16 @@
 // fraction of rows containing T (§1.3). The structural operations
 // (horizontal / vertical stacking, row duplication, column extraction) are
 // exactly the moves the lower-bound constructions perform on databases.
+//
+// Storage is one flat word array: row i occupies words [i*W, (i+1)*W),
+// W = ceil(d/64), in BitVector layout (bit j of the row in word j/64 at
+// position j%64, bits past d zero). A 100k x 64 database is one 800 KB
+// block rather than 100k separately allocated rows.
 #ifndef IFSKETCH_CORE_DATABASE_H_
 #define IFSKETCH_CORE_DATABASE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/itemset.h"
@@ -26,18 +32,35 @@ class Database {
   /// Takes ownership of `rows`; all rows must share one width.
   static Database FromRows(std::vector<util::BitVector> rows);
 
-  std::size_t num_rows() const { return rows_.size(); }
+  std::size_t num_rows() const { return n_; }
   std::size_t num_columns() const { return d_; }
 
-  /// Row i (the paper's D(i)).
-  const util::BitVector& Row(std::size_t i) const { return rows_[i]; }
+  /// Row i (the paper's D(i)) as a read-only BitVector::View of the
+  /// database's words: no allocation, valid until the database is
+  /// destroyed or grows (AppendRow), and mutating it aborts. To own a
+  /// row, copy the view as an lvalue:
+  ///   const util::BitVector view = db.Row(i);
+  ///   util::BitVector owned(view);
+  /// Initializing straight from the call (`util::BitVector(db.Row(i))`,
+  /// `auto r = db.Row(i)`) elides the copy, and moving a view moves its
+  /// view-ness, so those stay views.
+  util::BitVector Row(std::size_t i) const {
+    return util::BitVector::View(words_.data() + i * stride_, d_);
+  }
 
   /// Entry D(i, j).
-  bool Get(std::size_t i, std::size_t j) const { return rows_[i].Get(j); }
-  void Set(std::size_t i, std::size_t j, bool v) { rows_[i].Set(j, v); }
+  bool Get(std::size_t i, std::size_t j) const {
+    return (words_[i * stride_ + (j >> 6)] >> (j & 63)) & 1u;
+  }
+  void Set(std::size_t i, std::size_t j, bool v) {
+    const std::uint64_t mask = std::uint64_t{1} << (j & 63);
+    std::uint64_t& word = words_[i * stride_ + (j >> 6)];
+    word = v ? (word | mask) : (word & ~mask);
+  }
 
-  /// Appends a row of width d.
-  void AppendRow(util::BitVector row);
+  /// Appends a copy of a row of width d (the first row of a database
+  /// with no columns sets d). The row may be a view of this database.
+  void AppendRow(const util::BitVector& row);
 
   /// Column j as an n-bit vector.
   util::BitVector Column(std::size_t j) const;
@@ -69,15 +92,22 @@ class Database {
 
   /// Exact equality of contents.
   friend bool operator==(const Database& a, const Database& b) {
-    return a.d_ == b.d_ && a.rows_ == b.rows_;
+    return a.d_ == b.d_ && a.n_ == b.n_ && a.words_ == b.words_;
   }
 
   /// Total payload size n*d in bits (what RELEASE-DB costs).
-  std::size_t PayloadBits() const { return rows_.size() * d_; }
+  std::size_t PayloadBits() const { return n_ * d_; }
 
  private:
+  /// An all-zero n x d database (the shared constructor body).
+  void Reset(std::size_t n, std::size_t d);
+
+  std::uint64_t* RowWords(std::size_t i) { return words_.data() + i * stride_; }
+
   std::size_t d_ = 0;
-  std::vector<util::BitVector> rows_;
+  std::size_t n_ = 0;
+  std::size_t stride_ = 0;  // words per row, ceil(d/64)
+  std::vector<std::uint64_t> words_;  // n_ * stride_ words
 };
 
 }  // namespace ifsketch::core

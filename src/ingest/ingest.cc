@@ -93,6 +93,9 @@ IngestService::~IngestService() { Finish(); }
 void IngestService::Push(util::BitVector row) {
   IFSKETCH_CHECK(!finished_);
   IFSKETCH_CHECK_EQ(row.size(), options_.d);
+  // A view (Push(db.Row(i))) borrows memory the producer may free before
+  // the ingest thread reads it: the ring only ever carries owned rows.
+  if (row.is_view()) row = util::BitVector(row);
   while (!ring_.TryPush(std::move(row))) std::this_thread::yield();
 }
 

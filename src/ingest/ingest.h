@@ -105,7 +105,9 @@ class IngestService {
 
   /// Enqueues one row (width options.d). Blocks -- spinning with
   /// yield -- while the ring is full. Producer thread only; must not be
-  /// called after Finish().
+  /// called after Finish(). The service owns what it enqueues: a view
+  /// row (e.g. core::Database::Row) is deep-copied first, so the source
+  /// may be destroyed right after Push returns.
   void Push(util::BitVector row);
 
   /// Drains the ring, publishes a final snapshot of any rows not yet

@@ -99,10 +99,9 @@ core::Database ReleaseDbSketch::Decode(const util::BitVector& summary,
                                        std::size_t d, std::size_t n) {
   IFSKETCH_CHECK_EQ(summary.size(), n * d);
   util::BitReader r(summary);
-  std::vector<util::BitVector> rows;
-  rows.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) rows.push_back(r.ReadBits(d));
-  return core::Database::FromRows(std::move(rows));
+  core::Database db;
+  for (std::size_t i = 0; i < n; ++i) db.AppendRow(r.ReadBits(d));
+  return db;
 }
 
 }  // namespace ifsketch::sketch

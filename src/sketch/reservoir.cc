@@ -6,6 +6,17 @@
 
 namespace ifsketch::sketch {
 
+void ReservoirHits(std::uint64_t rows_seen, std::size_t slots,
+                   util::Rng& rng, std::vector<std::size_t>* hits) {
+  const util::ReservoirCoin coin(rows_seen);
+  util::Rng local = rng;
+  hits->clear();
+  for (std::size_t i = 0; i < slots; ++i) {
+    if (coin.Flip(local)) hits->push_back(i);
+  }
+  rng = local;
+}
+
 ReservoirBuilder::ReservoirBuilder(std::size_t d,
                                    const core::SketchParams& params,
                                    util::Rng& rng)
@@ -18,9 +29,8 @@ void ReservoirBuilder::Observe(const util::BitVector& row) {
   ++rows_seen_;
   // Slot i keeps the current row with probability 1/rows_seen_,
   // independently of the other slots (s parallel size-1 reservoirs).
-  for (auto& slot : slots_) {
-    if (rng_->UniformInt(rows_seen_) == 0) slot = row;
-  }
+  ReservoirHits(rows_seen_, slots_.size(), *rng_, &hits_);
+  for (std::size_t i : hits_) slots_[i] = row;
 }
 
 util::BitVector ReservoirBuilder::Finish() const {

@@ -8,12 +8,24 @@
 #ifndef IFSKETCH_SKETCH_RESERVOIR_H_
 #define IFSKETCH_SKETCH_RESERVOIR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/sketch.h"
 #include "util/bitio.h"
+#include "util/random.h"
 
 namespace ifsketch::sketch {
+
+/// The slots, out of `slots` independent size-1 reservoirs, that take
+/// the `rows_seen`-th row of their stream (each with probability
+/// 1/rows_seen), written to *hits in ascending order. Consumes `rng`
+/// exactly as `rng.UniformInt(rows_seen) == 0` evaluated once per slot
+/// in slot order would, so the stream of draws is the plain loop's; the
+/// loop runs on a register-resident copy of the generator with the
+/// divisions hoisted out (util::ReservoirCoin).
+void ReservoirHits(std::uint64_t rows_seen, std::size_t slots,
+                   util::Rng& rng, std::vector<std::size_t>* hits);
 
 /// Streaming row sampler producing a SUBSAMPLE-compatible summary.
 class ReservoirBuilder {
@@ -49,6 +61,7 @@ class ReservoirBuilder {
   std::size_t rows_seen_ = 0;
   std::vector<util::BitVector> slots_;
   util::Rng* rng_;
+  std::vector<std::size_t> hits_;  // reused by Observe
 };
 
 }  // namespace ifsketch::sketch

@@ -228,9 +228,8 @@ void StratifiedSampleBuilder::Observe(const util::BitVector& row) {
   ++stratum.count;
   // Each slot is an independent size-1 reservoir over the stratum's
   // sub-stream (keep the current row with probability 1/count).
-  for (auto& slot : stratum.slots) {
-    if (rng_->UniformInt(stratum.count) == 0) slot = row;
-  }
+  ReservoirHits(stratum.count, stratum.slots.size(), *rng_, &hits_);
+  for (std::size_t i : hits_) stratum.slots[i] = row;
 }
 
 util::BitVector StratifiedSampleBuilder::Summary() const {

@@ -145,6 +145,7 @@ class StratifiedSampleBuilder : public StreamingBuilder {
   std::size_t rows_seen_ = 0;
   std::vector<Stratum> strata_;
   util::Rng* rng_;
+  std::vector<std::size_t> hits_;  // reused by Observe
 };
 
 /// The registrable stratified-sample algorithm (see

@@ -107,10 +107,9 @@ core::Database SubsampleSketch::DecodeSample(const util::BitVector& summary,
   IFSKETCH_CHECK_EQ(summary.size() % d, 0u);
   const std::size_t s = summary.size() / d;
   util::BitReader r(summary);
-  std::vector<util::BitVector> rows;
-  rows.reserve(s);
-  for (std::size_t i = 0; i < s; ++i) rows.push_back(r.ReadBits(d));
-  return core::Database::FromRows(std::move(rows));
+  core::Database db;
+  for (std::size_t i = 0; i < s; ++i) db.AppendRow(r.ReadBits(d));
+  return db;
 }
 
 std::unique_ptr<core::FrequencyEstimator> SubsampleSketch::LoadEstimator(

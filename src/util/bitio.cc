@@ -6,13 +6,24 @@ namespace ifsketch::util {
 
 void BitWriter::WriteUint(std::uint64_t value, int width) {
   IFSKETCH_CHECK(width >= 0 && width <= 64);
-  for (int i = 0; i < width; ++i) {
-    bits_.push_back((value >> i) & 1u);
+  if (width == 0) return;
+  if (width < 64) value &= (std::uint64_t{1} << width) - 1;
+  const int offset = static_cast<int>(bits_ & 63);
+  if (offset == 0) {
+    words_.push_back(value);
+  } else {
+    words_.back() |= value << offset;
+    if (offset + width > 64) words_.push_back(value >> (64 - offset));
   }
+  bits_ += static_cast<std::size_t>(width);
 }
 
 void BitWriter::WriteBits(const BitVector& v) {
-  for (std::size_t i = 0; i < v.size(); ++i) bits_.push_back(v.Get(i));
+  const std::size_t full = v.size() / 64;
+  const std::uint64_t* words = v.data();
+  for (std::size_t i = 0; i < full; ++i) WriteUint(words[i], 64);
+  const int tail = static_cast<int>(v.size() & 63);
+  if (tail != 0) WriteUint(words[full], tail);
 }
 
 void BitWriter::WriteQuantized(double value, int width) {
@@ -25,26 +36,41 @@ void BitWriter::WriteQuantized(double value, int width) {
 }
 
 BitVector BitWriter::Finish() const {
-  BitVector out(bits_.size());
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    if (bits_[i]) out.Set(i, true);
-  }
-  return out;
+  return BitVector::AdoptWords(std::vector<std::uint64_t>(words_), bits_);
+}
+
+std::uint64_t BitReader::Extract(int width) const {
+  const std::uint64_t* words = bits_->data();
+  const std::size_t index = pos_ >> 6;
+  const int offset = static_cast<int>(pos_ & 63);
+  std::uint64_t value = words[index] >> offset;
+  if (offset + width > 64) value |= words[index + 1] << (64 - offset);
+  return width < 64 ? value & ((std::uint64_t{1} << width) - 1) : value;
 }
 
 std::uint64_t BitReader::ReadUint(int width) {
   IFSKETCH_CHECK(width >= 0 && width <= 64);
-  std::uint64_t value = 0;
-  for (int i = 0; i < width; ++i) {
-    if (ReadBit()) value |= std::uint64_t{1} << i;
-  }
+  if (width == 0) return 0;
+  IFSKETCH_CHECK_LE(static_cast<std::size_t>(width), Remaining());
+  const std::uint64_t value = Extract(width);
+  pos_ += static_cast<std::size_t>(width);
   return value;
 }
 
 BitVector BitReader::ReadBits(std::size_t count) {
-  BitVector out(count);
-  for (std::size_t i = 0; i < count; ++i) out.Set(i, ReadBit());
-  return out;
+  IFSKETCH_CHECK_LE(count, Remaining());
+  std::vector<std::uint64_t> words((count + 63) / 64);
+  const std::size_t full = count / 64;
+  for (std::size_t i = 0; i < full; ++i) {
+    words[i] = Extract(64);
+    pos_ += 64;
+  }
+  const int tail = static_cast<int>(count & 63);
+  if (tail != 0) {
+    words[full] = Extract(tail);
+    pos_ += static_cast<std::size_t>(tail);
+  }
+  return BitVector::AdoptWords(std::move(words), count);
 }
 
 double BitReader::ReadQuantized(int width) {

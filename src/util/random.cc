@@ -27,18 +27,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
 std::uint64_t Rng::UniformInt(std::uint64_t bound) {
   IFSKETCH_CHECK_GT(bound, 0u);
   // Lemire-style rejection: accept when the 128-bit product's low half is
@@ -65,19 +53,35 @@ BitVector Rng::RandomBits(std::size_t size) {
 std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,
                                                        std::size_t count) {
   IFSKETCH_CHECK_LE(count, n);
-  // Floyd's algorithm: O(count) expected insertions, then sort.
+  // Floyd's algorithm: step j draws t uniform in [0, j] and takes t, or j
+  // when t is already taken (j itself never is: earlier picks are < j).
+  // Membership lives in a linear-probing table of at least 2*count
+  // slots holding value+1 (0 = empty), so each step is O(1) expected
+  // and the whole loop O(count); the sort adds O(count log count).
   std::vector<std::size_t> out;
   out.reserve(count);
+  const std::size_t slots = std::bit_ceil(2 * count + 2);
+  const int shift = 64 - std::countr_zero(slots);  // in [1, 63]
+  std::vector<std::size_t> table(slots, 0);
+  const auto insert_if_absent = [&](std::size_t value) {
+    // Fibonacci hashing: the top log2(slots) bits of value * 2^64/phi.
+    std::size_t i = static_cast<std::size_t>(
+        (std::uint64_t{value} * 0x9e3779b97f4a7c15ULL) >> shift);
+    while (table[i] != 0) {
+      if (table[i] == value + 1) return false;
+      i = (i + 1) & (slots - 1);
+    }
+    table[i] = value + 1;
+    return true;
+  };
   for (std::size_t j = n - count; j < n; ++j) {
     const std::size_t t = UniformInt(j + 1);
-    bool present = false;
-    for (std::size_t x : out) {
-      if (x == t) {
-        present = true;
-        break;
-      }
+    if (insert_if_absent(t)) {
+      out.push_back(t);
+    } else {
+      insert_if_absent(j);
+      out.push_back(j);
     }
-    out.push_back(present ? j : t);
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -169,5 +169,120 @@ TEST(DatabaseTest, HStackPreservesHalfFrequencies) {
                    right.Frequency(tr));
 }
 
+// ---- flat row store: views, self-appends, and the structural moves
+// checked against a row-by-row reference built from owning row copies.
+
+std::vector<BitVector> OwnedRows(const Database& db) {
+  std::vector<BitVector> rows;
+  for (std::size_t i = 0; i < db.num_rows(); ++i) {
+    const BitVector view = db.Row(i);
+    rows.push_back(view);  // copying an lvalue view deep-copies
+  }
+  return rows;
+}
+
+Database RandomDb(std::size_t n, std::size_t d, util::Rng& rng) {
+  Database db(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) db.Set(i, j, rng.Bernoulli(0.5));
+  }
+  return db;
+}
+
+// The reference result of a structural move: the rows it must hold, and
+// the width FromRows gives them (0 when there are no rows).
+void ExpectRows(const Database& got, const std::vector<BitVector>& want,
+                std::size_t d) {
+  EXPECT_EQ(got.num_rows(), want.size());
+  EXPECT_EQ(got.num_columns(), want.empty() ? 0 : d);
+  EXPECT_EQ(OwnedRows(got), want);
+}
+
+TEST(DatabaseTest, RowIsAReadOnlyView) {
+  Database db(3, 70);
+  db.Set(1, 69, true);
+  const BitVector row = db.Row(1);  // initialized from a prvalue: a view
+  EXPECT_TRUE(row.is_view());
+  EXPECT_TRUE(row.Get(69));
+  EXPECT_EQ(row.Count(), 1u);
+  const BitVector owned(row);  // the documented way to own a row
+  EXPECT_FALSE(owned.is_view());
+  EXPECT_EQ(owned, row);
+  db.Set(1, 0, true);  // the view sees writes; the copy does not
+  EXPECT_EQ(row.Count(), 2u);
+  EXPECT_EQ(owned.Count(), 1u);
+}
+
+TEST(DatabaseTest, MutatingARowViewAborts) {
+  Database db(2, 8);
+  EXPECT_DEATH(db.Row(0).Set(3, true), "");
+}
+
+TEST(DatabaseTest, AppendRowOfItsOwnRowSurvivesGrowth) {
+  util::Rng rng(41);
+  for (const std::size_t d : {1, 64, 65, 130}) {
+    SCOPED_TRACE(d);
+    Database db = RandomDb(2, d, rng);
+    const std::vector<BitVector> original = OwnedRows(db);
+    // Each append may reallocate the storage the argument views.
+    for (int i = 0; i < 200; ++i) {
+      db.AppendRow(db.Row(static_cast<std::size_t>(i) % 2));
+    }
+    ASSERT_EQ(db.num_rows(), 202u);
+    for (std::size_t i = 0; i < db.num_rows(); ++i) {
+      EXPECT_EQ(db.Row(i), original[i % 2]) << i;
+    }
+  }
+}
+
+TEST(DatabaseTest, StructuralMovesMatchRowByRowReference) {
+  util::Rng rng(43);
+  for (const std::size_t n : {0, 1, 7}) {
+    for (const std::size_t d : {0, 64, 65, 128}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " d=" << d);
+      const Database a = RandomDb(n, d, rng);
+      const Database b = RandomDb(n, d, rng);
+      const Database c = RandomDb(n, 65, rng);
+      const std::vector<BitVector> ra = OwnedRows(a);
+      const std::vector<BitVector> rb = OwnedRows(b);
+      const std::vector<BitVector> rc = OwnedRows(c);
+
+      // operator== agrees with row-wise equality.
+      EXPECT_EQ(a == b, ra == rb);
+      if (n > 0) {
+        EXPECT_TRUE(a == Database::FromRows(ra));
+      }
+      if (n > 0 && d > 0) {
+        Database flipped = a;
+        flipped.Set(n - 1, d - 1, !a.Get(n - 1, d - 1));
+        EXPECT_FALSE(flipped == a);
+      }
+      EXPECT_FALSE(Database(n, d) == Database(n + 1, d));
+
+      std::vector<BitVector> want;
+      for (std::size_t i = 0; i < n; ++i) want.push_back(ra[i].Concat(rc[i]));
+      ExpectRows(Database::HStack(a, c), want, d + 65);
+
+      want = ra;
+      want.insert(want.end(), rb.begin(), rb.end());
+      ExpectRows(Database::VStack(a, b), want, d);
+
+      want.clear();
+      for (const BitVector& row : ra) {
+        for (int t = 0; t < 3; ++t) want.push_back(row);
+      }
+      ExpectRows(a.DuplicateRows(3), want, d);
+
+      if (d > 0) {
+        want.clear();
+        for (const BitVector& row : ra) want.push_back(row.Slice(1, d - 1));
+        const Database sliced = a.SliceColumns(1, d - 1);
+        EXPECT_EQ(sliced.num_columns(), d - 1);  // kept even with no rows
+        EXPECT_EQ(OwnedRows(sliced), want);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ifsketch::core

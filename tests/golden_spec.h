@@ -14,8 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "core/database.h"
 #include "core/itemset.h"
 #include "core/sketch.h"
+#include "data/generators.h"
 #include "util/random.h"
 
 namespace ifsketch::golden {
@@ -42,6 +44,12 @@ inline core::SketchParams GoldenParams() {
   p.scope = core::Scope::kForAll;
   p.answer = core::Answer::kEstimator;
   return p;
+}
+
+/// The pinned database every golden sketch is built over.
+inline core::Database PinnedDatabase() {
+  util::Rng rng(kDbSeed);
+  return data::PowerLawBaskets(kRows, kCols, 1.0, 0.5, 4, 3, 0.2, rng);
 }
 
 inline std::vector<core::Itemset> PinnedQueries() {

@@ -201,6 +201,41 @@ TEST(IngestServiceTest, NoDuplicateSnapshotOnExactBoundary) {
   EXPECT_EQ(published, (std::vector<std::uint64_t>{1000, 2000}));
 }
 
+// Push owns its rows: views of a database (Database::Row) are copied
+// before they enter the ring, so the source may die while rows are still
+// queued. Under ASan a borrowed row would be a heap-use-after-free here.
+TEST(IngestServiceTest, PushedRowViewsOutliveTheirDatabase) {
+  constexpr std::size_t kRows = 700;
+  const auto make_db = [] {
+    util::Rng rng(31);
+    return data::UniformRandom(kRows, kColumns, 0.3, rng);
+  };
+  std::shared_ptr<const Engine> last;
+  auto service = IngestService::Create(
+      Options("STREAM-SUBSAMPLE", 10 * kRows),
+      [&](std::shared_ptr<const Engine> engine, std::uint64_t rows) {
+        EXPECT_EQ(rows, kRows);
+        last = std::move(engine);
+      });
+  ASSERT_NE(service, nullptr);
+  {
+    const core::Database db = make_db();
+    for (std::size_t i = 0; i < db.num_rows(); ++i) service->Push(db.Row(i));
+  }  // db is gone; up to ring_capacity rows may still be queued
+  service->Finish();
+  ASSERT_NE(last, nullptr);
+
+  util::Rng build_rng(Options("STREAM-SUBSAMPLE", kRows).seed);
+  const auto direct =
+      Engine::Build(make_db(), "STREAM-SUBSAMPLE", Params(), build_rng);
+  ASSERT_TRUE(direct.has_value());
+  const auto queries = MakeQueries();
+  std::vector<double> streamed_f, direct_f;
+  last->estimate_many(queries, &streamed_f);
+  direct->estimate_many(queries, &direct_f);
+  EXPECT_EQ(streamed_f, direct_f);
+}
+
 TEST(IngestServiceTest, EmptyStreamPublishesNothing) {
   auto service = IngestService::Create(
       Options("STREAM-SUBSAMPLE", 1000),

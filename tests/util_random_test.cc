@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace ifsketch::util {
 namespace {
@@ -122,6 +125,94 @@ TEST(RandomTest, SampleWithoutReplacementUniformMargins) {
   // Each element appears with probability 3/10.
   for (int i = 0; i < 10; ++i) {
     EXPECT_NEAR(counts[i], kTrials * 0.3, 400) << i;
+  }
+}
+
+// Floyd's loop as it stood with a linear membership scan: the reference
+// for the hash-set version, which must make the same draws and return
+// the same sample.
+std::vector<std::size_t> LinearScanFloyd(Rng& rng, std::size_t n,
+                                         std::size_t count) {
+  std::vector<std::size_t> out;
+  for (std::size_t j = n - count; j < n; ++j) {
+    const std::size_t t = rng.UniformInt(j + 1);
+    bool present = false;
+    for (std::size_t x : out) present |= (x == t);
+    out.push_back(present ? j : t);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(RandomTest, SampleWithoutReplacementMatchesLinearScanFloyd) {
+  const std::pair<std::size_t, std::size_t> grid[] = {
+      {0, 0},     {1, 0},       {1, 1},         {2, 1},
+      {2, 2},     {10, 0},      {10, 3},        {10, 10},
+      {64, 63},   {1000, 1},    {1000, 500},    {1000, 1000},
+      {4096, 4096}, {std::size_t{1} << 40, 300}, {100000, 17908},
+  };
+  for (const auto& [n, count] : grid) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "n=" << n << " count=" << count << " seed=" << seed);
+      Rng fast(seed);
+      Rng reference(seed);
+      EXPECT_EQ(fast.SampleWithoutReplacement(n, count),
+                LinearScanFloyd(reference, n, count));
+      EXPECT_EQ(fast.Next(), reference.Next());  // same draws consumed
+    }
+  }
+}
+
+// ReservoirCoin must be indistinguishable from UniformInt(bound) == 0:
+// the same decision on every draw and the same generator state after.
+void ExpectCoinMatchesUniformInt(std::uint64_t bound, std::uint64_t seed) {
+  constexpr int kDraws = 100000;
+  const ReservoirCoin coin(bound);
+  Rng fast(seed);
+  Rng reference(seed);
+  int heads = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    const bool want = reference.UniformInt(bound) == 0;
+    ASSERT_EQ(coin.Flip(fast), want) << "bound=" << bound << " draw " << i;
+    heads += want ? 1 : 0;
+  }
+  ASSERT_EQ(fast.Next(), reference.Next()) << "bound=" << bound;
+  if (bound == 1) {
+    EXPECT_EQ(heads, kDraws);
+  }
+}
+
+TEST(RandomTest, ReservoirCoinMatchesUniformIntOnEdgeBounds) {
+  const std::uint64_t max = ~std::uint64_t{0};
+  for (const std::uint64_t bound :
+       {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{1} << 63, max,
+        max - 1, (std::uint64_t{1} << 63) + 1, max / 3}) {
+    ExpectCoinMatchesUniformInt(bound, bound ^ 0x5eed);
+  }
+}
+
+TEST(RandomTest, ReservoirCoinMatchesUniformIntAroundPowersOfTwo) {
+  for (int k = 0; k < 64; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    ExpectCoinMatchesUniformInt(p, 1000 + k);
+    ExpectCoinMatchesUniformInt(p + 1, 2000 + k);
+    if (p > 1) ExpectCoinMatchesUniformInt(p - 1, 3000 + k);
+  }
+}
+
+TEST(RandomTest, ReservoirCoinMatchesUniformIntOnRandomBounds) {
+  Rng bounds(77);
+  for (int i = 0; i < 48; ++i) {
+    // Small bounds (frequent heads), full-width bounds (frequent
+    // rejection near 2^63 and above), and odd parts times powers of two.
+    const std::uint64_t small = 1 + bounds.UniformInt(5000);
+    const std::uint64_t wide = bounds.Next() | 1;
+    const std::uint64_t shifted = (1 + bounds.UniformInt(1000))
+                                  << bounds.UniformInt(50);
+    ExpectCoinMatchesUniformInt(small, 4000 + i);
+    ExpectCoinMatchesUniformInt(wide, 5000 + i);
+    ExpectCoinMatchesUniformInt(shifted, 6000 + i);
   }
 }
 

@@ -27,16 +27,13 @@
 #include <vector>
 
 #include "../tests/golden_spec.h"
-#include "data/generators.h"
 #include "engine.h"
 #include "util/random.h"
 
 int main(int argc, char** argv) {
   using namespace ifsketch;
   const std::string out_dir = argc > 1 ? argv[1] : "tests/data";
-  util::Rng db_rng(golden::kDbSeed);
-  const core::Database db = data::PowerLawBaskets(
-      golden::kRows, golden::kCols, 1.0, 0.5, 4, 3, 0.2, db_rng);
+  const core::Database db = golden::PinnedDatabase();
   const auto queries = golden::PinnedQueries();
 
   std::size_t index = 0;
