@@ -19,13 +19,18 @@
 //      thread, which for a served query is the reactor loop thread, so
 //      they never pay a pool wake-up. Each query writes only its own
 //      result slot, so answers are deterministic at any thread count.
-//   2. Fused kernels: an isolated q-attribute query is answered by
-//      util::BitVector::AndCountMany -- one pass over the column words,
-//      popcounting while ANDing, no materialized accumulator. All the
-//      word-level work (Count / AndCount / AndCountMany / the prefix
-//      &=) runs on the runtime-dispatched SIMD tier in util/kernels.h,
-//      so SupportCounts inherits AVX2/AVX-512 popcount for free, with
-//      counts bit-identical at every tier.
+//   2. Fused kernels, called lean: an isolated q-attribute query is
+//      answered by the and_count_many kernel -- one pass over the column
+//      words, popcounting while ANDing, no materialized accumulator.
+//      The counting loop loads util::ActiveKernels() once per range,
+//      reads each query's attributes straight from its indicator words
+//      into a fixed array (queries of more than 16 attributes take
+//      SupportCount), and hands the column word pointers to
+//      popcount_words / and_count / and_count_many directly, with no
+//      per-query size checks, pointer gathers or heap scratch.
+//      BatchWords' universe check on every query is what makes that
+//      safe. All word-level work runs on the runtime-dispatched SIMD
+//      tier in util/kernels.h, with counts bit-identical at every tier.
 //   3. Prefix sharing: consecutive queries that agree on all but their
 //      last attribute (exactly how the Apriori driver emits candidate
 //      levels) reuse one materialized (q-1)-prefix accumulator, so a
@@ -36,6 +41,7 @@
 #ifndef IFSKETCH_CORE_COLUMN_STORE_H_
 #define IFSKETCH_CORE_COLUMN_STORE_H_
 
+#include <span>
 #include <vector>
 
 #include "core/database.h"
@@ -46,8 +52,8 @@ namespace ifsketch::core {
 /// cardinality and agree on every attribute but their last, so they can
 /// share one (|a|-1)-prefix AND accumulator. Both vectors must be
 /// ascending attribute lists (Itemset::Attributes() order).
-inline bool SharesAprioriPrefix(const std::vector<std::size_t>& a,
-                                const std::vector<std::size_t>& b) {
+inline bool SharesAprioriPrefix(std::span<const std::size_t> a,
+                                std::span<const std::size_t> b) {
   if (a.size() != b.size() || a.empty()) return false;
   for (std::size_t i = 0; i + 1 < a.size(); ++i) {
     if (a[i] != b[i]) return false;
@@ -115,9 +121,12 @@ class ColumnStore {
 
   /// Batched SupportCount: counts[i] = SupportCount(ts[i]), bit-identical
   /// to the scalar loop. A batch smaller than two chunks of
-  /// kFanOutChunkWords runs wholly on the calling thread; a larger one
-  /// fans out on the default thread pool. Adjacent queries share prefix
-  /// accumulators either way (see file comment).
+  /// kFanOutChunkWords runs wholly on the calling thread, through
+  /// ThreadPool::ParallelFor's inline path (no type erasure, no
+  /// allocation); a larger one fans out on the default thread pool.
+  /// Either way each query costs about its kernel call: the loop calls
+  /// the active kernels on raw column words, and adjacent queries share
+  /// prefix accumulators (see file comment).
   void SupportCounts(const std::vector<Itemset>& ts,
                      std::vector<std::size_t>* counts) const;
 

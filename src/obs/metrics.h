@@ -91,6 +91,11 @@
 //                                                           segment tails at
 //                                                           startup recovery
 //   threadpool_queue_depth                        gauge     queued tasks
+//   ifsketch_build_info{build_type=,compiler=,    gauge     1, set when the
+//     kernel_tier=}                                         server starts
+//                                                           listening: which
+//                                                           build and kernel
+//                                                           tier is serving
 //   client_retries_total                          counter   client-side
 //                                                           reconnect attempts
 //

@@ -24,8 +24,34 @@
 
 #include "obs/metrics.h"
 #include "serve/server.h"
+#include "util/kernels.h"
+
+// The CMake build type, passed in by the top-level CMakeLists.txt.
+#ifndef IFSKETCH_BUILD_TYPE
+#define IFSKETCH_BUILD_TYPE "unknown"
+#endif
 
 namespace ifsketch::serve {
+
+std::string BuildInfoMetricName() {
+#if defined(__clang__)
+  const std::string compiler = "clang " + std::to_string(__clang_major__) +
+                               "." + std::to_string(__clang_minor__) + "." +
+                               std::to_string(__clang_patchlevel__);
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " + std::to_string(__GNUC__) + "." +
+                               std::to_string(__GNUC_MINOR__) + "." +
+                               std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::string build_type = IFSKETCH_BUILD_TYPE;
+  if (build_type.empty()) build_type = "unknown";
+  return std::string("ifsketch_build_info{build_type=\"") + build_type +
+         "\",compiler=\"" + compiler + "\",kernel_tier=\"" +
+         util::KernelTierName(util::ActiveKernelTier()) + "\"}";
+}
+
 namespace {
 
 /// Per-recv buffer and per-wakeup read budget: a single chatty
@@ -155,6 +181,7 @@ struct ReactorServer::Impl {
     port = ntohs(addr.sin_port);
 
     obs::MetricsRegistry& registry = router.registry();
+    registry.GetGauge(BuildInfoMetricName())->Set(1);
     c_rejected = registry.GetCounter("serve_conns_rejected_total");
     c_hangups = registry.GetCounter("serve_backpressure_hangups_total");
 

@@ -59,18 +59,27 @@
 // Observability (all in the router's registry): per-loop gauges
 // serve_loop_connections{loop=} and serve_loop_outbound_bytes{loop=},
 // per-loop counter serve_loop_wakeups_total{loop=}, plus the counters
-// above. Request metrics and traces are identical to the blocking path
-// because both run the same DispatchRequest.
+// above. Listen also sets the process-identity gauge
+// ifsketch_build_info{build_type=,compiler=,kernel_tier=} to 1, so a
+// STATS dump says which build and kernel tier produced its numbers.
+// Request metrics and traces are identical to the blocking path because
+// both run the same DispatchRequest.
 #ifndef IFSKETCH_SERVE_REACTOR_H_
 #define IFSKETCH_SERVE_REACTOR_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "serve/router.h"
 
 namespace ifsketch::serve {
+
+/// The process-identity gauge's full name: ifsketch_build_info with the
+/// CMake build type, the compiler and its version, and the kernel tier
+/// queries dispatch through (util::ActiveKernelTier()) as labels.
+std::string BuildInfoMetricName();
 
 struct ReactorOptions {
   /// Event-loop threads; 0 = hardware concurrency.

@@ -18,51 +18,56 @@ BitVector BitVector::View(const std::uint64_t* words, std::size_t bits) {
   return v;
 }
 
-BitVector::BitVector(const BitVector& other) : size_(other.size_) {
+void BitVector::AssignWords(const std::uint64_t* src, std::size_t bits) {
+  size_ = bits;
+  view_ = false;
+  const std::size_t words = num_words();
+  if (words == 0) {
+    data_ = nullptr;
+    return;
+  }
+  std::uint64_t* dst = inline_;
+  if (words > kInlineWords) {
+    heap_.resize(words);
+    dst = heap_.data();
+  }
+  std::memcpy(dst, src, words * sizeof(std::uint64_t));
+  data_ = dst;
+}
+
+void BitVector::StealFrom(BitVector& other) noexcept {
+  size_ = other.size_;
+  view_ = other.view_;
+  if (other.data_ == other.inline_) {
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
+    data_ = inline_;
+  } else if (view_) {
+    data_ = other.data_;
+  } else {
+    heap_ = std::move(other.heap_);
+    data_ = size_ == 0 ? nullptr : heap_.data();
+  }
+  other.size_ = 0;
+  other.heap_.clear();
+  other.data_ = nullptr;
+  other.view_ = false;
+}
+
+BitVector::BitVector(const BitVector& other) {
   // Copies always own: a view's copy deep-copies the borrowed words so it
   // stays valid after the mapping behind the original goes away.
-  const std::size_t words = other.num_words();
-  words_.resize(words);
-  if (words != 0) {
-    std::memcpy(words_.data(), other.data_, words * sizeof(std::uint64_t));
-  }
-  data_ = words_.data();
+  AssignWords(other.data_, other.size_);
 }
 
 BitVector& BitVector::operator=(const BitVector& other) {
-  if (this == &other) return *this;
-  size_ = other.size_;
-  const std::size_t words = other.num_words();
-  words_.resize(words);
-  if (words != 0) {
-    std::memcpy(words_.data(), other.data_, words * sizeof(std::uint64_t));
-  }
-  data_ = words_.data();
-  view_ = false;
+  if (this != &other) AssignWords(other.data_, other.size_);
   return *this;
 }
 
-BitVector::BitVector(BitVector&& other) noexcept
-    : size_(other.size_),
-      words_(std::move(other.words_)),
-      data_(other.view_ ? other.data_ : words_.data()),
-      view_(other.view_) {
-  other.size_ = 0;
-  other.words_.clear();
-  other.data_ = nullptr;
-  other.view_ = false;
-}
+BitVector::BitVector(BitVector&& other) noexcept { StealFrom(other); }
 
 BitVector& BitVector::operator=(BitVector&& other) noexcept {
-  if (this == &other) return *this;
-  size_ = other.size_;
-  words_ = std::move(other.words_);
-  data_ = other.view_ ? other.data_ : words_.data();
-  view_ = other.view_;
-  other.size_ = 0;
-  other.words_.clear();
-  other.data_ = nullptr;
-  other.view_ = false;
+  if (this != &other) StealFrom(other);
   return *this;
 }
 
@@ -70,12 +75,16 @@ BitVector BitVector::AdoptWords(std::vector<std::uint64_t>&& words,
                                 std::size_t bits) {
   IFSKETCH_CHECK_EQ(words.size(), (bits + 63) / 64);
   BitVector v;
-  v.size_ = bits;
-  v.words_ = std::move(words);
-  v.data_ = v.words_.data();
+  if (words.size() > kInlineWords) {
+    v.size_ = bits;
+    v.heap_ = std::move(words);
+    v.data_ = v.heap_.data();
+  } else {
+    v.AssignWords(words.data(), bits);
+  }
   const std::size_t tail = bits & 63;
   if (tail != 0) {
-    v.words_.back() &= (std::uint64_t{1} << tail) - 1;
+    v.MutableWords()[v.num_words() - 1] &= (std::uint64_t{1} << tail) - 1;
   }
   return v;
 }
@@ -91,7 +100,7 @@ BitVector BitVector::FromString(const std::string& bits) {
 
 void BitVector::Clear() {
   std::uint64_t* words = MutableWords();
-  for (std::size_t i = 0; i < words_.size(); ++i) words[i] = 0;
+  for (std::size_t i = 0; i < num_words(); ++i) words[i] = 0;
 }
 
 std::size_t BitVector::Count() const {

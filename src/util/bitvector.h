@@ -11,13 +11,22 @@
 // via IFSKETCH_KERNEL. Every tier is bit-identical to the scalar
 // reference, so callers never observe the dispatch.
 //
-// A BitVector either OWNS its words (the default: every constructor and
-// every copy allocates) or is a VIEW borrowing caller-managed words
-// (BitVector::View) -- the zero-copy hand-off used by the mmap-backed
-// sketch loading path to run kernels straight out of the page cache.
-// Views answer every const query exactly like an owning vector of the
-// same bits; copying a view materializes an owning deep copy (so value
-// semantics never dangle); mutating a view aborts.
+// A BitVector either OWNS its words (the default) or is a VIEW borrowing
+// caller-managed words (BitVector::View) -- the zero-copy hand-off used
+// by the mmap-backed sketch loading path to run kernels straight out of
+// the page cache. Views answer every const query exactly like an owning
+// vector of the same bits; copying a view materializes an owning deep
+// copy (so value semantics never dangle); mutating a view aborts.
+//
+// An owning vector of at most kInlineWords words (128 bits) keeps them
+// inside the object, so constructing, copying or moving an itemset
+// indicator or a transaction row of d <= 128 attributes never allocates;
+// larger vectors keep their words on the heap. The one visible
+// consequence: an inline vector's data() points into the object and
+// moves with it, so a raw pointer (or a View) taken from an owning
+// vector is valid only while that vector stays put. Views borrow
+// storage that is not a BitVector -- mapped files, a Database's flat
+// word array -- which never moves.
 #ifndef IFSKETCH_UTIL_BITVECTOR_H_
 #define IFSKETCH_UTIL_BITVECTOR_H_
 
@@ -31,13 +40,26 @@
 namespace ifsketch::util {
 
 /// Fixed-size packed vector of bits with word-level bulk operations.
+/// Owning vectors of up to kInlineWords words store them in the object
+/// (no allocation on construction, copy or move; data() moves with the
+/// object); larger ones use the heap; views borrow (see file comment).
 class BitVector {
  public:
   BitVector() = default;
 
+  /// Owning vectors of at most this many words store them inline.
+  static constexpr std::size_t kInlineWords = 2;
+
   /// Creates a vector of `size` bits, all zero.
-  explicit BitVector(std::size_t size)
-      : size_(size), words_((size + 63) / 64, 0), data_(words_.data()) {}
+  explicit BitVector(std::size_t size) : size_(size) {
+    const std::size_t words = num_words();
+    if (words > kInlineWords) {
+      heap_.assign(words, 0);
+      data_ = heap_.data();
+    } else if (words != 0) {
+      data_ = inline_;
+    }
+  }
 
   /// A read-only view of `bits` bits borrowing `words` (same layout as an
   /// owning vector: bit i in word i/64 at position i%64). The storage
@@ -50,7 +72,8 @@ class BitVector {
   // Value semantics with one asymmetry: copying always produces an
   // OWNING vector (a copy of a view deep-copies the viewed words, so the
   // copy's lifetime is independent of the mapping it came from). Moves
-  // preserve view-ness.
+  // preserve view-ness and leave the source empty. Copies and moves of
+  // inline vectors copy the words; heap vectors move their buffer.
   BitVector(const BitVector& other);
   BitVector& operator=(const BitVector& other);
   BitVector(BitVector&& other) noexcept;
@@ -61,9 +84,10 @@ class BitVector {
   static BitVector FromString(const std::string& bits);
 
   /// Adopts an already-packed word vector as an owning BitVector of
-  /// `bits` bits without copying. words.size() must be (bits+63)/64;
-  /// bits beyond `bits` in the last word are zeroed to restore the
-  /// trailing-zero invariant.
+  /// `bits` bits: without copying when it is larger than kInlineWords,
+  /// by copying the words in otherwise. words.size() must be
+  /// (bits+63)/64; bits beyond `bits` in the last word are zeroed to
+  /// restore the trailing-zero invariant.
   static BitVector AdoptWords(std::vector<std::uint64_t>&& words,
                               std::size_t bits);
 
@@ -74,7 +98,9 @@ class BitVector {
   bool is_view() const { return view_; }
 
   /// Raw word storage, (size()+63)/64 words; trailing bits beyond size()
-  /// are zero. Null only when size() == 0.
+  /// are zero. Null exactly when an owning vector has size() == 0. For
+  /// an inline vector (see file comment) the pointer moves with the
+  /// object.
   const std::uint64_t* data() const { return data_; }
   std::size_t num_words() const { return (size_ + 63) / 64; }
 
@@ -174,18 +200,27 @@ class BitVector {
 
  private:
   // The single mutation gate: every writing path goes through here, so a
-  // view (whose words_ is empty and whose bytes may be a shared, literally
-  // read-only mapping) can never be written through. Inline, because
-  // per-bit writers (Set/Flip) sit in O(n*d) transpose and decode loops
-  // where an out-of-line call per bit would dominate.
+  // view (whose bytes may be a shared, literally read-only mapping) can
+  // never be written through. Inline, because per-bit writers (Set/Flip)
+  // sit in O(n*d) transpose and decode loops where an out-of-line call
+  // per bit would dominate. An owning vector's data_ points at inline_
+  // or heap_, both writable members, so the cast is sound.
   std::uint64_t* MutableWords() {
     IFSKETCH_CHECK(!view_);
-    return words_.data();
+    return const_cast<std::uint64_t*>(data_);
   }
 
+  // Makes *this an owning vector of `bits` bits holding a copy of the
+  // (bits+63)/64 words at `src`.
+  void AssignWords(const std::uint64_t* src, std::size_t bits);
+
+  // Takes over `other`'s words and view-ness, leaving it empty.
+  void StealFrom(BitVector& other) noexcept;
+
   std::size_t size_ = 0;
-  std::vector<std::uint64_t> words_;  // empty for views
-  const std::uint64_t* data_ = nullptr;  // words_.data() or borrowed
+  const std::uint64_t* data_ = nullptr;  // inline_, heap_.data() or borrowed
+  std::vector<std::uint64_t> heap_;      // used only above kInlineWords
+  std::uint64_t inline_[kInlineWords] = {};
   bool view_ = false;
 };
 

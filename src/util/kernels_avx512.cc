@@ -4,7 +4,12 @@
 // vpopcntq per 512-bit vector (8 words) accumulated lane-wise, reduced
 // once at the end. The fused entry points AND the operand streams in
 // registers before the popcount, same single-pass shape as the other
-// tiers. CRC32C reuses the avx2 tier's SSE4.2 implementation.
+// tiers. The popcount entry points finish the last n mod 8 words with
+// one masked vector (_mm512_maskz_loadu_epi64) instead of a scalar
+// loop: masked-off lanes read as zero and are never accessed, so they
+// cannot fault even when a stream ends at the edge of a mapping. A
+// column of ~40 words is then five vector steps, not four plus eight
+// scalar ones. CRC32C reuses the avx2 tier's SSE4.2 implementation.
 //
 // This TU is the only one compiled with -mavx512f -mavx512vpopcntdq
 // (CMake sets the flags per file) and self-gates on the macros those
@@ -17,7 +22,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstdint>
 
 namespace ifsketch::util::internal {
@@ -25,6 +29,18 @@ namespace {
 
 inline __m512i LoadVec(const std::uint64_t* words, std::size_t vec) {
   return _mm512_loadu_si512(words + 8 * vec);
+}
+
+// The first `lanes` (< 8) words at words + 8 * vec, the rest zero; the
+// zeroed lanes are not read.
+inline __m512i LoadTail(const std::uint64_t* words, std::size_t vec,
+                        __mmask8 lanes) {
+  return _mm512_maskz_loadu_epi64(lanes, words + 8 * vec);
+}
+
+// Mask of the n mod 8 tail words.
+inline __mmask8 TailMask(std::size_t n) {
+  return static_cast<__mmask8>((1u << (n & 7)) - 1);
 }
 
 // Lane sum via a stack spill: _mm512_reduce_add_epi64 would be the
@@ -44,11 +60,11 @@ std::size_t Avx512PopcountWords(const std::uint64_t* words, std::size_t n) {
   for (std::size_t i = 0; i < vectors; ++i) {
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(LoadVec(words, i)));
   }
-  std::size_t c = HorizontalSum(acc);
-  for (std::size_t i = 8 * vectors; i < n; ++i) {
-    c += std::popcount(words[i]);
+  if (const __mmask8 tail = TailMask(n); tail != 0) {
+    acc = _mm512_add_epi64(acc,
+                           _mm512_popcnt_epi64(LoadTail(words, vectors, tail)));
   }
-  return c;
+  return HorizontalSum(acc);
 }
 
 std::size_t Avx512AndCount(const std::uint64_t* a, const std::uint64_t* b,
@@ -59,11 +75,12 @@ std::size_t Avx512AndCount(const std::uint64_t* a, const std::uint64_t* b,
     const __m512i v = _mm512_and_si512(LoadVec(a, i), LoadVec(b, i));
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  std::size_t c = HorizontalSum(acc);
-  for (std::size_t i = 8 * vectors; i < n; ++i) {
-    c += std::popcount(a[i] & b[i]);
+  if (const __mmask8 tail = TailMask(n); tail != 0) {
+    const __m512i v = _mm512_and_si512(LoadTail(a, vectors, tail),
+                                       LoadTail(b, vectors, tail));
+    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  return c;
+  return HorizontalSum(acc);
 }
 
 std::size_t Avx512AndCountMany(const std::uint64_t* const* ops,
@@ -77,13 +94,14 @@ std::size_t Avx512AndCountMany(const std::uint64_t* const* ops,
     }
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  std::size_t c = HorizontalSum(acc);
-  for (std::size_t i = 8 * vectors; i < n; ++i) {
-    std::uint64_t w = ops[0][i];
-    for (std::size_t j = 1; j < count; ++j) w &= ops[j][i];
-    c += std::popcount(w);
+  if (const __mmask8 tail = TailMask(n); tail != 0) {
+    __m512i v = LoadTail(ops[0], vectors, tail);
+    for (std::size_t j = 1; j < count; ++j) {
+      v = _mm512_and_si512(v, LoadTail(ops[j], vectors, tail));
+    }
+    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
   }
-  return c;
+  return HorizontalSum(acc);
 }
 
 void Avx512AndInto(std::uint64_t* dst, const std::uint64_t* src,

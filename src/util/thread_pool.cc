@@ -27,7 +27,8 @@ struct LoopJob {
   std::size_t num_chunks = 0;
   // Owned by the caller's stack frame; valid until `done == num_chunks`,
   // which the caller waits for before returning.
-  const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+  void* body = nullptr;
+  void (*call)(void*, std::size_t, std::size_t) = nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::mutex mu;
@@ -41,7 +42,7 @@ void DrainLoop(const std::shared_ptr<LoopJob>& job) {
     if (c >= job->num_chunks) return;
     const std::size_t first = job->begin + c * job->chunk;
     const std::size_t last = std::min(job->end, first + job->chunk);
-    (*job->body)(first, last);
+    job->call(job->body, first, last);
     if (job->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         job->num_chunks) {
       std::lock_guard<std::mutex> lock(job->mu);
@@ -84,28 +85,26 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (end <= begin) return;
+void ThreadPool::RunChunks(
+    std::size_t begin, std::size_t end, std::size_t grain, void* body,
+    void (*call)(void* body, std::size_t first, std::size_t last)) {
   const std::size_t range = end - begin;
   grain = std::max<std::size_t>(grain, 1);
   const std::size_t threads = thread_count();
   // Cap chunks at a small multiple of the thread count: enough slack for
   // load balancing, few enough that claim overhead stays negligible.
-  std::size_t num_chunks =
+  // ParallelFor ran every range of at most one grain inline, so there
+  // are at least two chunks here.
+  const std::size_t num_chunks =
       std::min((range + grain - 1) / grain, threads * 4);
-  if (threads == 1 || num_chunks <= 1) {
-    body(begin, end);
-    return;
-  }
   auto job = std::make_shared<LoopJob>();
   job->begin = begin;
   job->end = end;
   // Never split below the grain: only the final chunk may be short.
   job->chunk = std::max(grain, (range + num_chunks - 1) / num_chunks);
   job->num_chunks = (range + job->chunk - 1) / job->chunk;
-  job->body = &body;
+  job->body = body;
+  job->call = call;
 
   const std::size_t helpers = std::min(threads - 1, job->num_chunks - 1);
   {

@@ -20,18 +20,23 @@
 //     sweeps) before issuing queries -- it must not race with in-flight
 //     ParallelFor calls on the default pool.
 //
-// A pool of size 1 (or a range smaller than one grain) degenerates to
+// A pool of size 1 (or a range no larger than one grain) degenerates to
 // running the body inline on the caller, so single-threaded builds pay
-// nothing but a branch.
+// nothing but a branch. ParallelFor is a template so that inline path
+// calls the body directly, with no type erasure: no std::function is
+// built and nothing is allocated. Only a loop that really splits erases
+// the body, to a pointer and a trampoline, for its pool threads.
 #ifndef IFSKETCH_UTIL_THREAD_POOL_H_
 #define IFSKETCH_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace ifsketch::util {
@@ -55,8 +60,22 @@ class ThreadPool {
   /// cover [begin, end), each at least `grain` indices (except possibly
   /// the final chunk). Blocks until every chunk has run. The body must
   /// only write state owned by its own indices.
+  template <typename Body>
   void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
-                   const std::function<void(std::size_t, std::size_t)>& body);
+                   Body&& body) {
+    if (end <= begin) return;
+    if (thread_count() == 1 ||
+        end - begin <= std::max<std::size_t>(grain, 1)) {
+      body(begin, end);
+      return;
+    }
+    using Fn = std::remove_reference_t<Body>;
+    RunChunks(begin, end, grain,
+              const_cast<void*>(static_cast<const void*>(&body)),
+              [](void* fn, std::size_t first, std::size_t last) {
+                (*static_cast<Fn*>(fn))(first, last);
+              });
+  }
 
   /// The process-wide pool used by the batched query kernels.
   static ThreadPool& Default();
@@ -70,6 +89,12 @@ class ThreadPool {
   static std::size_t DefaultThreadCount();
 
  private:
+  // The type-erased split behind ParallelFor, for ranges larger than one
+  // grain on a pool of two or more threads.
+  void RunChunks(std::size_t begin, std::size_t end, std::size_t grain,
+                 void* body,
+                 void (*call)(void* body, std::size_t first, std::size_t last));
+
   void WorkerLoop();
 
   std::vector<std::thread> workers_;

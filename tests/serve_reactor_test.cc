@@ -28,6 +28,8 @@
 //     connections.
 //   - max_connections rejects at accept (counted, connection slots
 //     freed on close), instead of any exit-after-C behavior.
+//   - Listen publishes the ifsketch_build_info gauge, naming the
+//     active kernel tier, in the STATS reply.
 //   - An idle-churn wave of ~1k concurrent connections (clamped to
 //     RLIMIT_NOFILE) is accepted, served, and drained. The whole file
 //     runs under the CI TSan job.
@@ -56,6 +58,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/transport.h"
+#include "util/kernels.h"
 #include "util/random.h"
 
 namespace ifsketch::serve {
@@ -644,6 +647,31 @@ TEST(ServeReactorTest, MaxConnectionsRejectsAtAcceptAndFreesOnClose) {
   EXPECT_TRUE(PollUntil([&] { return reactor.open_connections() == 1; }));
   SketchClient third(TcpConnect(reactor.port()));
   ASSERT_TRUE(third.Info("s").has_value()) << third.last_error();
+}
+
+TEST(ServeReactorTest, ListenPublishesBuildInfoInStats) {
+  Rig rig = MakeRig("reactor_build_info", 41);
+  ReactorOptions options;
+  options.loop_threads = 1;
+  ReactorServer reactor(*rig.router, options);
+  ASSERT_TRUE(reactor.Listen(0));
+  SketchClient client(TcpConnect(reactor.port()));
+  const auto stats = client.Stats();
+  ASSERT_TRUE(stats.has_value()) << client.last_error();
+  const std::string name = BuildInfoMetricName();
+  EXPECT_EQ(name.rfind("ifsketch_build_info{build_type=\"", 0), 0u) << name;
+  const std::string tier = std::string("kernel_tier=\"") +
+                           util::KernelTierName(util::ActiveKernelTier()) +
+                           "\"}";
+  EXPECT_NE(name.find(tier), std::string::npos) << name;
+  bool found = false;
+  for (const StatsGauge& g : stats->gauges) {
+    if (g.name == name) {
+      found = true;
+      EXPECT_EQ(g.value, 1);
+    }
+  }
+  EXPECT_TRUE(found) << name;
 }
 
 TEST(ServeReactorTest, PipelinedClientMatchesSingleFrameBatch) {

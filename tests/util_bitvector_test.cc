@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "util/random.h"
 
 namespace ifsketch::util {
@@ -251,6 +257,183 @@ TEST(BitVectorViewDeathTest, MutatingAViewAborts) {
   EXPECT_DEATH(view.Clear(), "");
   BitVector other(128);
   EXPECT_DEATH(view &= other, "");
+}
+
+// ---- storage kinds: an owning vector of at most kInlineWords words
+// keeps them in the object, a larger one on the heap. Every copy and
+// move between {empty, inline, heap, view} must preserve the bits, leave
+// the two objects independent, and keep data() null exactly at size 0.
+
+constexpr std::size_t kStorageSizes[] = {0,   1,   63,  64, 65,
+                                         127, 128, 129, 200};
+
+// One source or target of a copy/move: an owning vector, or a view over
+// words owned by `backing` (never a BitVector, as in production).
+struct Fixture {
+  std::vector<std::uint64_t> backing;
+  BitVector vec;
+  std::string bits;  // what vec holds, for comparisons after a move
+};
+
+std::vector<std::unique_ptr<Fixture>> StorageFixtures(Rng& rng) {
+  std::vector<std::unique_ptr<Fixture>> out;
+  for (const std::size_t size : kStorageSizes) {
+    for (const bool view : {false, true}) {
+      auto f = std::make_unique<Fixture>();
+      const BitVector bits = rng.RandomBits(size);
+      if (view) {
+        f->backing.assign(bits.data(), bits.data() + bits.num_words());
+        f->vec = BitVector::View(f->backing.data(), size);
+      } else {
+        f->vec = bits;
+      }
+      f->bits = bits.ToString();
+      out.push_back(std::move(f));
+    }
+  }
+  return out;
+}
+
+// data() is null exactly when an owning vector is empty, and an inline
+// vector's words live inside the object.
+void ExpectStorageInvariants(const BitVector& v, const std::string& where) {
+  if (v.is_view()) return;
+  EXPECT_EQ(v.data() == nullptr, v.size() == 0) << where;
+  if (v.size() != 0 && v.num_words() <= BitVector::kInlineWords) {
+    const auto object = reinterpret_cast<std::uintptr_t>(&v);
+    const auto words = reinterpret_cast<std::uintptr_t>(v.data());
+    EXPECT_TRUE(words >= object && words < object + sizeof(BitVector))
+        << where << ": inline words outside the object";
+  }
+}
+
+// Writes to an owning target must never reach the source's storage.
+void ExpectIndependent(BitVector& target, const Fixture& source,
+                       const std::string& where) {
+  if (target.is_view() || target.size() == 0) return;
+  target.Flip(0);
+  EXPECT_EQ(source.vec.ToString(), source.bits) << where;
+  target.Flip(0);
+}
+
+TEST(BitVectorStorageTest, CopiesBetweenEveryKindAreIndependentOwners) {
+  Rng rng(31);
+  auto sources = StorageFixtures(rng);
+  for (const auto& source : sources) {
+    for (std::size_t t = 0; t < 2 * std::size(kStorageSizes); ++t) {
+      const std::string where =
+          "source " + std::to_string(source->bits.size()) +
+          (source->vec.is_view() ? " view" : " owning") + ", target #" +
+          std::to_string(t);
+      {
+        BitVector copy(source->vec);
+        EXPECT_FALSE(copy.is_view()) << where;
+        EXPECT_EQ(copy.ToString(), source->bits) << where;
+        ExpectStorageInvariants(copy, where);
+        ExpectIndependent(copy, *source, where);
+      }
+      auto targets = StorageFixtures(rng);
+      BitVector& target = targets[t]->vec;
+      target = source->vec;
+      EXPECT_FALSE(target.is_view()) << where;
+      EXPECT_EQ(target.ToString(), source->bits) << where;
+      EXPECT_EQ(source->vec.ToString(), source->bits) << where;
+      ExpectStorageInvariants(target, where);
+      ExpectIndependent(target, *source, where);
+    }
+  }
+}
+
+TEST(BitVectorStorageTest, MovesBetweenEveryKindKeepBitsAndEmptyTheSource) {
+  Rng rng(32);
+  for (std::size_t s = 0; s < 2 * std::size(kStorageSizes); ++s) {
+    for (std::size_t t = 0; t < 2 * std::size(kStorageSizes); ++t) {
+      for (const bool assign : {false, true}) {
+        auto sources = StorageFixtures(rng);
+        auto targets = StorageFixtures(rng);
+        Fixture& source = *sources[s];
+        const bool was_view = source.vec.is_view();
+        const std::string where =
+            "source #" + std::to_string(s) + ", target #" +
+            std::to_string(t) + (assign ? " move-assign" : " move-construct");
+        BitVector moved_ctor;
+        BitVector* result = &targets[t]->vec;
+        if (assign) {
+          *result = std::move(source.vec);
+        } else {
+          moved_ctor = BitVector(std::move(source.vec));
+          result = &moved_ctor;
+        }
+        EXPECT_EQ(result->is_view(), was_view) << where;
+        EXPECT_EQ(result->ToString(), source.bits) << where;
+        ExpectStorageInvariants(*result, where);
+        // The moved-from source is an empty owning vector...
+        EXPECT_EQ(source.vec.size(), 0u) << where;
+        EXPECT_EQ(source.vec.data(), nullptr) << where;
+        EXPECT_FALSE(source.vec.is_view()) << where;
+        // ...that is fully usable, and reusing it leaves the result alone
+        // (an inline result's words must not point into the source).
+        source.vec = BitVector(source.bits.size());
+        if (!source.vec.empty()) source.vec.Flip(0);
+        EXPECT_EQ(result->ToString(), source.bits) << where;
+        if (!result->is_view() && !result->empty()) {
+          result->Flip(0);
+          EXPECT_EQ(source.vec.Count(), source.bits.empty() ? 0u : 1u)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(BitVectorStorageTest, SelfAssignmentKeepsEveryKind) {
+  Rng rng(33);
+  auto fixtures = StorageFixtures(rng);
+  for (const auto& f : fixtures) {
+    BitVector& v = f->vec;
+    const bool view = v.is_view();
+    BitVector& alias = v;
+    v = alias;
+    EXPECT_EQ(v.ToString(), f->bits);
+    EXPECT_EQ(v.is_view(), view);
+    v = std::move(alias);
+    EXPECT_EQ(v.ToString(), f->bits);
+    EXPECT_EQ(v.is_view(), view);
+    ExpectStorageInvariants(v, f->bits);
+  }
+}
+
+TEST(BitVectorStorageTest, AdoptWordsMasksStrayTailBitsAtEveryWordCount) {
+  for (std::size_t words = 1; words <= 3; ++words) {
+    for (const std::size_t tail : {1u, 5u, 63u, 64u}) {
+      const std::size_t bits = 64 * (words - 1) + tail;
+      std::vector<std::uint64_t> all_ones(words, ~std::uint64_t{0});
+      const std::uint64_t* original = all_ones.data();
+      const BitVector v = BitVector::AdoptWords(std::move(all_ones), bits);
+      EXPECT_EQ(v.size(), bits);
+      EXPECT_EQ(v.Count(), bits) << "words=" << words << " tail=" << tail;
+      EXPECT_EQ(v.data()[words - 1] >> (tail - 1) >> 1, 0u)
+          << "stray tail bits survived: words=" << words;
+      // Up to kInlineWords the words are copied in; beyond, adopted.
+      EXPECT_EQ(v.data() == original, words > BitVector::kInlineWords);
+      ExpectStorageInvariants(v, std::to_string(bits));
+      EXPECT_EQ(v, BitVector::FromString(std::string(bits, '1')));
+    }
+  }
+  EXPECT_EQ(BitVector::AdoptWords({}, 0).data(), nullptr);
+}
+
+TEST(BitVectorStorageDeathTest, MovedViewsStillRefuseMutation) {
+  const std::vector<std::uint64_t> backing = {0x5, 0x6};
+  BitVector view = BitVector::View(backing.data(), 100);
+  BitVector constructed(std::move(view));
+  EXPECT_DEATH(constructed.Set(1, true), "");
+  BitVector assigned(64);  // an inline owner, overwritten by the view
+  assigned = std::move(constructed);
+  ASSERT_TRUE(assigned.is_view());
+  EXPECT_DEATH(assigned.Flip(0), "");
+  EXPECT_DEATH(assigned.Clear(), "");
+  EXPECT_EQ(backing[0], 0x5u);
 }
 
 }  // namespace

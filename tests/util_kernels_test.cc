@@ -24,6 +24,10 @@
 //      contract; CI additionally runs the whole suite once with
 //      IFSKETCH_KERNEL=scalar).
 //
+// The word-stream entry points are also run on streams that end right
+// before a PROT_NONE guard page, at every length 1..24, so a tail that
+// read past its stream would crash the suite.
+//
 // On hardware without AVX2/AVX-512 the per-tier loops degenerate to the
 // scalar tier only -- the suite still passes, it just proves less; the
 // CI x86 runners exercise the vector tiers.
@@ -31,6 +35,8 @@
 #include "util/kernels.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cctype>
 #include <cstdint>
@@ -166,6 +172,80 @@ TEST_P(KernelTierTest, ZeroWordsNeverTouchPointers) {
   kernels_->and_into(nullptr, nullptr, 0);
   EXPECT_EQ(kernels_->crc32c_extend(0, nullptr, 0), 0u);
   EXPECT_EQ(kernels_->crc32c_extend(0xDEADBEEFu, nullptr, 0), 0xDEADBEEFu);
+}
+
+// Word streams whose last word ends exactly at a page boundary, with a
+// PROT_NONE page right after each: the layout of a column section at the
+// end of a mapped sketch file. A kernel that touched one byte past a
+// stream (a full vector load on the tail, say) would fault here.
+class GuardedStreams {
+ public:
+  explicit GuardedStreams(std::size_t streams)
+      : page_(static_cast<std::size_t>(::sysconf(_SC_PAGESIZE))),
+        streams_(streams) {
+    region_ = ::mmap(nullptr, 2 * page_ * streams_, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (region_ == MAP_FAILED) {
+      region_ = nullptr;
+      return;
+    }
+    for (std::size_t s = 0; s < streams_; ++s) {
+      if (::mprotect(Base(s) + page_, page_, PROT_NONE) != 0) {
+        ::munmap(region_, 2 * page_ * streams_);
+        region_ = nullptr;
+        return;
+      }
+    }
+  }
+  ~GuardedStreams() {
+    if (region_ != nullptr) ::munmap(region_, 2 * page_ * streams_);
+  }
+  GuardedStreams(const GuardedStreams&) = delete;
+  GuardedStreams& operator=(const GuardedStreams&) = delete;
+
+  bool ok() const { return region_ != nullptr; }
+
+  // Stream `s` of n words (n * 8 <= page size), ending at its guard page.
+  std::uint64_t* Stream(std::size_t s, std::size_t n) {
+    return reinterpret_cast<std::uint64_t*>(Base(s) + page_) - n;
+  }
+
+ private:
+  char* Base(std::size_t s) {
+    return static_cast<char*>(region_) + 2 * page_ * s;
+  }
+
+  std::size_t page_;
+  std::size_t streams_;
+  void* region_ = nullptr;
+};
+
+TEST_P(KernelTierTest, StreamsEndingAtAGuardPageMatchScalar) {
+  const BitKernels& scalar = ScalarKernels();
+  constexpr std::size_t kMaxOperands = 4;
+  GuardedStreams guarded(kMaxOperands);
+  ASSERT_TRUE(guarded.ok());
+  Rng rng(106);
+  for (std::size_t n = 1; n <= 24; ++n) {
+    const std::uint64_t* ops[kMaxOperands];
+    for (std::size_t s = 0; s < kMaxOperands; ++s) {
+      std::uint64_t* words = guarded.Stream(s, n);
+      // Dense random words, so the AND of four operands is not all zero.
+      for (std::size_t i = 0; i < n; ++i) words[i] = rng.Next() | rng.Next();
+      ops[s] = words;
+    }
+    ASSERT_EQ(kernels_->popcount_words(ops[0], n),
+              scalar.popcount_words(ops[0], n))
+        << KernelTierName(GetParam()) << " n=" << n;
+    ASSERT_EQ(kernels_->and_count(ops[0], ops[1], n),
+              scalar.and_count(ops[0], ops[1], n))
+        << KernelTierName(GetParam()) << " n=" << n;
+    for (std::size_t count = 1; count <= kMaxOperands; ++count) {
+      ASSERT_EQ(kernels_->and_count_many(ops, count, n),
+                scalar.and_count_many(ops, count, n))
+          << KernelTierName(GetParam()) << " n=" << n << " count=" << count;
+    }
+  }
 }
 
 std::vector<unsigned char> RandomBytes(std::size_t n, Rng& rng) {
