@@ -13,7 +13,7 @@
 //
 // Emits the repo's stable bench schema
 //   {"kernel": str, "threads": int, "batch": int, "ns_per_query": float}
-// with one row per kernel@path (threads is always 1):
+// with one row per kernel@path (threads is 1 unless noted):
 //   open_cold@mapped/copied    first in-process open + first query
 //                              (includes view materialization); batch=1,
 //                              ns per open
@@ -27,6 +27,15 @@
 //                              through a budget that holds only one, so
 //                              every Acquire evicts (munmaps) and
 //                              reloads; batch=1, ns per Acquire+query
+//   hit_under_churn@mapped     3 threads Acquire one resident (pinned)
+//                              sketch while a 4th ping-pongs two others
+//                              through a budget of two sketches, so
+//                              every churn Acquire loads and evicts
+//                              (munmaps); each hit is followed by a
+//                              16-query request; threads=3, batch=1,
+//                              mean ns per hit Acquire (the call alone)
+//                              -- teardown done under the pod lock
+//                              shows up here
 //   query_steady@mapped/copied batched estimate_many on a held-open
 //                              engine; batch=10000, ns per query --
 //                              mapped and copied must converge here
@@ -43,10 +52,12 @@
 // Engine::LoadMode::kCopied on the same v2 files (and the evict_reload
 // copied row serves legacy v1 files, the pre-PR-5 configuration).
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/generators.h"
@@ -80,6 +91,7 @@ struct Row {
   std::string kernel;
   std::size_t batch;
   double ns_per_query;
+  std::size_t threads = 1;
 };
 
 std::vector<core::Itemset> MakeQueries(std::size_t d, std::size_t count) {
@@ -267,6 +279,80 @@ int main(int argc, char** argv) {
     }
   }
 
+  // -- hit_under_churn@mapped: hits on a resident sketch while another
+  // thread's loads evict. The sketches are SUBSAMPLE files of the shape
+  // the server hosts (eps 0.02, ~280 KB mapped). "hot" is published, so
+  // it is pinned and every hit really is a hit; the budget leaves room
+  // for one churn sketch beside it, so each churn Acquire loads one name
+  // and evicts the other. Each hit thread answers a 16-query request
+  // between Acquires, as a server loop thread does; only the Acquire
+  // call is timed.
+  {
+    core::SketchParams churn_params = Params();
+    churn_params.eps = 0.02;
+    auto sample = Engine::Build(db, "SUBSAMPLE", churn_params, rng);
+    const std::string paths[2] = {"micro_load_tmp_churn_a.ifsk",
+                                  "micro_load_tmp_churn_b.ifsk"};
+    if (!sample.has_value() || !sample->Save(paths[0]) ||
+        !sample->Save(paths[1])) {
+      std::fprintf(stderr, "error: cannot write churn sketches\n");
+      return 1;
+    }
+    auto hot = Engine::Open(paths[0]);
+    if (!hot.has_value()) {
+      std::fprintf(stderr, "error: cannot reopen %s\n", paths[0].c_str());
+      return 1;
+    }
+    serve::SketchPod pod(2 * hot->resident_bytes());
+    pod.AddSketch("a", paths[0]);
+    pod.AddSketch("b", paths[1]);
+    pod.Publish("hot", std::make_shared<const Engine>(*std::move(hot)), 0);
+    const std::vector<core::Itemset> request(batch.begin(),
+                                             batch.begin() + 16);
+    constexpr std::size_t kHitThreads = 3;
+    const std::size_t hits = rounds * 100;
+    std::atomic<bool> done{false};
+    std::atomic<bool> failed{false};
+    std::thread churner([&] {
+      for (std::size_t r = 0; !done.load(std::memory_order_relaxed); ++r) {
+        if (pod.Acquire(r % 2 == 0 ? "a" : "b") == nullptr) {
+          failed.store(true);
+          return;
+        }
+      }
+    });
+    std::vector<double> thread_ns(kHitThreads, 0.0);
+    std::vector<std::thread> hitters;
+    for (std::size_t t = 0; t < kHitThreads; ++t) {
+      hitters.emplace_back([&, t] {
+        std::vector<double> answers;
+        double acquire_ns = 0.0;
+        for (std::size_t r = 0; r < hits; ++r) {
+          const auto start = std::chrono::steady_clock::now();
+          const auto engine = pod.Acquire("hot");
+          acquire_ns += ElapsedNs(start);
+          if (engine == nullptr) {
+            failed.store(true);
+            return;
+          }
+          engine->estimate_many(request, &answers);
+        }
+        thread_ns[t] = acquire_ns / static_cast<double>(hits);
+      });
+    }
+    for (auto& th : hitters) th.join();
+    done.store(true);
+    churner.join();
+    for (const std::string& path : paths) std::remove(path.c_str());
+    if (failed.load()) {
+      std::fprintf(stderr, "error: hit_under_churn Acquire failed\n");
+      return 1;
+    }
+    double mean_ns = 0.0;
+    for (double ns : thread_ns) mean_ns += ns / kHitThreads;
+    rows.push_back({"hit_under_churn@mapped", 1, mean_ns, kHitThreads});
+  }
+
   // -- crc32c@<tier>: the checksum kernel alone, per usable tier.
   {
     constexpr std::size_t kKiB = 256;
@@ -312,9 +398,9 @@ int main(int argc, char** argv) {
   std::fprintf(out, "[\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
-                 "  {\"kernel\": \"%s\", \"threads\": 1, \"batch\": %zu, "
+                 "  {\"kernel\": \"%s\", \"threads\": %zu, \"batch\": %zu, "
                  "\"ns_per_query\": %.1f}%s\n",
-                 rows[i].kernel.c_str(), rows[i].batch,
+                 rows[i].kernel.c_str(), rows[i].threads, rows[i].batch,
                  rows[i].ns_per_query, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "]\n");

@@ -71,6 +71,10 @@
 //   serve_sketch_queries_total{pod=,sketch=}      counter   point queries
 //   serve_sketch_hits_total / _loads_total
 //     / _evictions_total{pod=,sketch=}            counter   pod cache traffic
+//   serve_sketch_duplicate_loads_total            counter   Engine::Open calls
+//     {pod=,sketch=}                                        discarded: a
+//                                                           concurrent Acquire
+//                                                           loaded it first
 //   serve_sketch_publishes_total{pod=,sketch=}    counter   snapshot installs
 //   serve_sketch_epoch{pod=,sketch=}              gauge     published epoch
 //                                                           (cross-pod max -

@@ -33,6 +33,8 @@ SketchPod::EntryMetrics SketchPod::ResolveMetrics(
   EntryMetrics m;
   m.hits = registry_->GetCounter(series("serve_sketch_hits_total"));
   m.loads = registry_->GetCounter(series("serve_sketch_loads_total"));
+  m.duplicate_loads =
+      registry_->GetCounter(series("serve_sketch_duplicate_loads_total"));
   m.evictions =
       registry_->GetCounter(series("serve_sketch_evictions_total"));
   m.queries = registry_->GetCounter(series("serve_sketch_queries_total"));
@@ -60,13 +62,16 @@ bool SketchPod::AddStream(const std::string& name) {
 std::uint64_t SketchPod::Publish(const std::string& name,
                                  std::shared_ptr<const Engine> engine,
                                  std::uint64_t rows_seen) {
+  Retired retired;
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = catalog_[name];  // auto-registers with an empty path
   if (entry.metrics.hits == nullptr) entry.metrics = ResolveMetrics(name);
   const std::size_t bytes = engine->resident_bytes();
   resident_bytes_ -= entry.bytes;
-  // The old snapshot's shared_ptr is dropped exactly like eviction:
-  // in-flight queries keep it alive until they finish.
+  // The old snapshot is retired exactly like an eviction victim:
+  // in-flight queries keep it alive until they finish, and if the pod
+  // held the last reference it is destroyed after the unlock.
+  if (entry.engine != nullptr) retired.push_back(std::move(entry.engine));
   entry.engine = std::move(engine);
   entry.bytes = bytes;
   entry.last_used = ++lru_clock_;
@@ -77,7 +82,7 @@ std::uint64_t SketchPod::Publish(const std::string& name,
   resident_bytes_ += bytes;
   // The new snapshot is pinned (EvictToFitLocked skips path-less
   // entries), so making room only displaces file-backed residents.
-  if (byte_budget_ != kUnlimited) EvictToFitLocked(byte_budget_);
+  if (byte_budget_ != kUnlimited) EvictToFitLocked(byte_budget_, &retired);
   cv_.notify_all();
   return entry.epoch;
 }
@@ -106,6 +111,7 @@ bool SketchPod::WaitForEpoch(const std::string& name, std::uint64_t min_epoch,
 }
 
 std::shared_ptr<const Engine> SketchPod::Acquire(const std::string& name) {
+  Retired retired;
   std::unique_lock<std::mutex> lock(mu_);
   // Fault hooks first: a faulted pod refuses (or stalls) before touching
   // its catalog, exactly like a dead or wedged replica would.
@@ -132,32 +138,37 @@ std::shared_ptr<const Engine> SketchPod::Acquire(const std::string& name) {
   // after reacquiring in case a concurrent Acquire won the race.
   const std::string path = entry.path;
   lock.unlock();
-  auto opened = Engine::Open(path);
-  lock.lock();
-  it = catalog_.find(name);
-  if (it == catalog_.end()) return nullptr;
-  Entry& slot = it->second;
-  if (slot.engine != nullptr) {
-    slot.metrics.hits->Add();
-    return slot.engine;
+  std::shared_ptr<const Engine> engine;
+  if (auto opened = Engine::Open(path); opened.has_value()) {
+    engine = std::make_shared<const Engine>(*std::move(opened));
   }
-  if (!opened.has_value()) return nullptr;
+  lock.lock();
+  // Entries are never erased and std::map nodes are address-stable, so
+  // `entry` still refers to this name's entry.
+  if (entry.engine != nullptr) {
+    // Lost the race: serve the winner's engine, and unmap our duplicate
+    // only after the unlock.
+    entry.metrics.duplicate_loads->Add();
+    if (engine != nullptr) retired.push_back(std::move(engine));
+    return entry.engine;
+  }
+  if (engine == nullptr) return nullptr;
 
-  auto engine = std::make_shared<const Engine>(*std::move(opened));
   const std::size_t bytes = engine->resident_bytes();
   // Make room first; the incoming sketch is not resident yet, so it can
   // never be its own victim. A sketch bigger than the whole budget gets
   // everything evicted and is then admitted alone.
   if (byte_budget_ != kUnlimited) {
-    EvictToFitLocked(bytes <= byte_budget_ ? byte_budget_ - bytes : 0);
+    EvictToFitLocked(bytes <= byte_budget_ ? byte_budget_ - bytes : 0,
+                     &retired);
   }
-  slot.engine = std::move(engine);
-  slot.bytes = bytes;
-  slot.last_used = ++lru_clock_;
-  slot.rows_seen = slot.engine->n();
-  slot.metrics.loads->Add();
+  entry.engine = std::move(engine);
+  entry.bytes = bytes;
+  entry.last_used = ++lru_clock_;
+  entry.rows_seen = entry.engine->n();
+  entry.metrics.loads->Add();
   resident_bytes_ += bytes;
-  return slot.engine;
+  return entry.engine;
 }
 
 bool SketchPod::Knows(const std::string& name) const {
@@ -196,6 +207,7 @@ std::vector<SketchStats> SketchPod::stats() const {
     s.name = name;
     s.hits = entry.metrics.hits->Value();
     s.loads = entry.metrics.loads->Value();
+    s.duplicate_loads = entry.metrics.duplicate_loads->Value();
     s.evictions = entry.metrics.evictions->Value();
     s.queries = entry.metrics.queries->Value();
     s.publishes = entry.metrics.publishes->Value();
@@ -212,9 +224,10 @@ std::size_t SketchPod::resident_bytes() const {
 }
 
 void SketchPod::SetByteBudget(std::size_t bytes) {
+  Retired retired;
   std::lock_guard<std::mutex> lock(mu_);
   byte_budget_ = bytes;
-  if (byte_budget_ != kUnlimited) EvictToFitLocked(byte_budget_);
+  if (byte_budget_ != kUnlimited) EvictToFitLocked(byte_budget_, &retired);
 }
 
 std::size_t SketchPod::byte_budget() const {
@@ -232,7 +245,7 @@ PodFault SketchPod::fault() const {
   return fault_;
 }
 
-void SketchPod::EvictToFitLocked(std::size_t budget) {
+void SketchPod::EvictToFitLocked(std::size_t budget, Retired* retired) {
   while (resident_bytes_ > budget) {
     Entry* victim = nullptr;
     for (auto& [name, entry] : catalog_) {
@@ -244,9 +257,10 @@ void SketchPod::EvictToFitLocked(std::size_t budget) {
       }
     }
     if (victim == nullptr) return;  // nothing evictable remains
-    // In-flight queries hold their own shared_ptr; this only drops the
-    // pod's reference, so the engine is destroyed once they finish.
-    victim->engine.reset();
+    // In-flight queries hold their own shared_ptr; this only hands the
+    // pod's reference to the caller's Retired list, so the engine is
+    // destroyed once they finish, and never under mu_.
+    retired->push_back(std::move(victim->engine));
     resident_bytes_ -= victim->bytes;
     victim->bytes = 0;
     victim->metrics.evictions->Add();

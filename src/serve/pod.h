@@ -23,6 +23,13 @@
 // outside the lock on the shared Engine (whose query surface is
 // const-thread-safe, see engine.h).
 //
+// No engine is destroyed under the pod lock. Every reference the pod
+// lets go of -- an eviction victim, a snapshot replaced by Publish, the
+// duplicate a losing concurrent opener mapped -- is moved into a local
+// Retired list declared before the lock, so when it is the last
+// reference the ~Engine (for a mapped engine, a munmap and its TLB
+// shootdown) runs after the unlock and never stalls other Acquires.
+//
 // Stream-published sketches (the ingest path, src/ingest/) have no
 // backing file: Publish() swaps in each freshly built snapshot with the
 // same shared_ptr discipline, bumps the per-name epoch (0 = nothing
@@ -57,6 +64,10 @@ struct SketchStats {
   std::string name;
   std::uint64_t hits = 0;       ///< Acquire calls served by a resident engine
   std::uint64_t loads = 0;      ///< Engine::Open calls (misses that loaded)
+  /// Engine::Open calls whose result was discarded because a concurrent
+  /// Acquire of the same name installed its engine first (the caller is
+  /// served that resident engine; counted here, not in hits).
+  std::uint64_t duplicate_loads = 0;
   std::uint64_t evictions = 0;  ///< times the budget pushed it out
   std::uint64_t queries = 0;    ///< individual query answers served
   std::uint64_t publishes = 0;  ///< snapshots published via Publish()
@@ -178,6 +189,7 @@ class SketchPod {
   struct EntryMetrics {
     obs::Counter* hits = nullptr;
     obs::Counter* loads = nullptr;
+    obs::Counter* duplicate_loads = nullptr;
     obs::Counter* evictions = nullptr;
     obs::Counter* queries = nullptr;
     obs::Counter* publishes = nullptr;
@@ -199,9 +211,14 @@ class SketchPod {
   /// registry has its own lock and never calls back into the pod).
   EntryMetrics ResolveMetrics(const std::string& name) const;
 
+  /// Engines the pod let go of while holding mu_. Declared before the
+  /// lock, so they are destroyed after it is released.
+  using Retired = std::vector<std::shared_ptr<const Engine>>;
+
   /// Evicts least-recently-used residents until resident bytes fit
-  /// `budget`. Caller holds mu_.
-  void EvictToFitLocked(std::size_t budget);
+  /// `budget`, moving each victim's engine into *retired. Caller holds
+  /// mu_.
+  void EvictToFitLocked(std::size_t budget, Retired* retired);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  // signaled on every Publish

@@ -81,6 +81,7 @@ struct ReactorServer::Impl {
     int fd = -1;
     std::size_t loop = 0;
     FrameDecoder decoder;  // loop thread only
+    std::uint32_t armed = EPOLLIN;  // epoll mask last set; loop thread only
 
     std::mutex mu;  // guards everything below
     std::deque<PendingReply> pending;
@@ -533,8 +534,10 @@ struct ReactorServer::Impl {
     TryFlush(loop, conn);
   }
 
-  /// Re-arms the connection's epoll interest from its current flags.
-  /// Loop thread only.
+  /// Re-arms the connection's epoll interest from its current flags,
+  /// issuing EPOLL_CTL_MOD only when the mask actually changes (interest
+  /// is level-triggered, so re-setting an unchanged mask is a no-op
+  /// syscall). Loop thread only.
   void UpdateInterest(Loop& loop, Conn* conn) {
     epoll_event ev{};
     ev.data.ptr = conn;
@@ -544,6 +547,8 @@ struct ReactorServer::Impl {
       if (!conn->read_done && !conn->paused) ev.events |= EPOLLIN;
       if (conn->want_write) ev.events |= EPOLLOUT;
     }
+    if (ev.events == conn->armed) return;
+    conn->armed = ev.events;
     ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
   }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -404,6 +406,82 @@ TEST(SketchPodTest, PublishedSnapshotsArePinnedUnderBudgetPressure) {
   EXPECT_FALSE(StatsFor(stats, "b").resident);
   EXPECT_EQ(StatsFor(stats, "live").evictions, 0u);
   ASSERT_NE(pod.Acquire("live"), nullptr);
+}
+
+// The pod destroys the engines it lets go of only after releasing its
+// lock. The replaced snapshot's deleter probes the pod from another
+// thread: if the deleter ran under mu_, the probe would block until
+// Publish returned, and the deleter's bounded wait would time out.
+TEST(SketchPodTest, ReplacedSnapshotIsDestroyedOutsideThePodLock) {
+  SketchPod pod;
+  std::future<bool> probe;  // outlives the deleter, so nothing deadlocks
+  bool probe_finished = false;
+  bool deleted = false;
+  {
+    util::Rng rng(36);
+    const core::Database db = data::UniformRandom(200, 10, 0.4, rng);
+    auto built = Engine::Build(db, "SUBSAMPLE", Params(), rng);
+    ASSERT_TRUE(built.has_value());
+    std::shared_ptr<const Engine> first(
+        new Engine(std::move(*built)), [&](const Engine* engine) {
+          probe = std::async(std::launch::async,
+                             [&pod] { return pod.Knows("live"); });
+          probe_finished = probe.wait_for(std::chrono::milliseconds(300)) ==
+                           std::future_status::ready;
+          deleted = true;
+          delete engine;
+        });
+    ASSERT_EQ(pod.Publish("live", std::move(first), 200), 1u);
+  }
+  EXPECT_FALSE(deleted);  // the pod holds the only reference
+
+  ASSERT_EQ(pod.Publish("live", MakeEngine(300, 37), 300), 2u);
+  ASSERT_TRUE(deleted);
+  EXPECT_TRUE(probe_finished)
+      << "the replaced snapshot was destroyed while the pod lock was held";
+  EXPECT_TRUE(probe.get());
+}
+
+// Every Acquire that returns an engine is exactly one of: a hit, the
+// load that installed it, or a duplicate load that lost the race to a
+// concurrent opener of the same name.
+TEST(SketchPodTest, ChurnAccountsEveryServedAcquireExactlyOnce) {
+  const std::vector<std::string> paths = {
+      MakeSketchFile("pod_acct_a", 400, 10, 50),
+      MakeSketchFile("pod_acct_b", 400, 10, 51),
+      MakeSketchFile("pod_acct_c", 400, 10, 52)};
+  const std::size_t each = ResidentBytesOf(paths[0]);
+  SketchPod pod(2 * each);  // two of three resident: names keep reloading
+  const std::vector<std::string> names = {"a", "b", "c"};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    ASSERT_TRUE(pod.AddSketch(names[i], paths[i]));
+  }
+
+  std::atomic<std::uint64_t> served{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::uint64_t mine = 0;
+      for (std::size_t round = 0; round < 150; ++round) {
+        if (pod.Acquire(names[(t + round) % names.size()]) != nullptr) {
+          ++mine;
+        }
+      }
+      served.fetch_add(mine);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::uint64_t accounted = 0;
+  std::uint64_t evictions = 0;
+  for (const SketchStats& s : pod.stats()) {
+    accounted += s.hits + s.loads + s.duplicate_loads;
+    evictions += s.evictions;
+  }
+  EXPECT_EQ(served.load(), 4u * 150u);
+  EXPECT_EQ(accounted, served.load());
+  EXPECT_GT(evictions, 0u);
+  EXPECT_LE(pod.resident_bytes(), 2 * each);
 }
 
 }  // namespace
