@@ -36,6 +36,12 @@
 //                              mean ns per hit Acquire (the call alone)
 //                              -- teardown done under the pod lock
 //                              shows up here
+//   zipf_churn@mapped          32 small SUBSAMPLE files behind a
+//                              budget of 8, names drawn Zipf(1), each
+//                              Acquire followed by a 16-query request;
+//                              batch=1, ns per Acquire+request, plus a
+//                              "hit_ratio" field (hits / (hits + loads))
+//                              that records the pod's admission policy
 //   query_steady@mapped/copied batched estimate_many on a held-open
 //                              engine; batch=10000, ns per query --
 //                              mapped and copied must converge here
@@ -52,12 +58,15 @@
 // Engine::LoadMode::kCopied on the same v2 files (and the evict_reload
 // copied row serves legacy v1 files, the pre-PR-5 configuration).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/generators.h"
@@ -92,6 +101,7 @@ struct Row {
   std::size_t batch;
   double ns_per_query;
   std::size_t threads = 1;
+  std::optional<double> hit_ratio = std::nullopt;  // pod rows only
 };
 
 std::vector<core::Itemset> MakeQueries(std::size_t d, std::size_t count) {
@@ -106,6 +116,15 @@ std::vector<core::Itemset> MakeQueries(std::size_t d, std::size_t count) {
     queries.push_back(std::move(t));
   }
   return queries;
+}
+
+// The churn rows alternate names that are used equally often, so the
+// pod's frequency gate sees ties and must admit every load (each churn
+// Acquire evicts and reloads, as the rows intend).
+std::uint64_t Bypasses(const serve::SketchPod& pod) {
+  std::uint64_t total = 0;
+  for (const serve::SketchStats& s : pod.stats()) total += s.bypasses;
+  return total;
 }
 
 bool Identical(const std::vector<double>& a, const std::vector<double>& b) {
@@ -248,6 +267,10 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
+      if (Bypasses(pod) != 0) {
+        std::fprintf(stderr, "error: evict_reload load was not admitted\n");
+        return 1;
+      }
       rows.push_back({std::string("evict_reload") + suffix[m], 1,
                       ElapsedNs(start) / static_cast<double>(churn)});
     }
@@ -348,9 +371,100 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: hit_under_churn Acquire failed\n");
       return 1;
     }
+    if (Bypasses(pod) != 0) {
+      std::fprintf(stderr, "error: hit_under_churn load was not admitted\n");
+      return 1;
+    }
     double mean_ns = 0.0;
     for (double ns : thread_ns) mean_ns += ns / kHitThreads;
     rows.push_back({"hit_under_churn@mapped", 1, mean_ns, kHitThreads});
+  }
+
+  // -- zipf_churn@mapped: the serve_churn regime in one thread. The
+  // working set (32 names) is four times the pod (8 files), names are
+  // drawn Zipf(1), so which names stay resident decides the hit ratio.
+  // Every file holds the same small sample, so any miss costs the same.
+  {
+    constexpr std::size_t kNames = 32;
+    constexpr std::size_t kBudgetFiles = 8;
+    core::SketchParams zipf_params = Params();
+    zipf_params.eps = 0.1;
+    auto sample = Engine::Build(db, "SUBSAMPLE", zipf_params, rng);
+    if (!sample.has_value()) {
+      std::fprintf(stderr, "error: cannot build the zipf sketch\n");
+      return 1;
+    }
+    std::vector<std::string> paths;
+    for (std::size_t i = 0; i < kNames; ++i) {
+      paths.push_back("micro_load_tmp_zipf_" + std::to_string(i) + ".ifsk");
+      if (!sample->Save(paths.back())) {
+        std::fprintf(stderr, "error: cannot write %s\n",
+                     paths.back().c_str());
+        return 1;
+      }
+    }
+    const auto probe_zipf = Engine::Open(paths[0]);
+    if (!probe_zipf.has_value()) {
+      std::fprintf(stderr, "error: cannot reopen %s\n", paths[0].c_str());
+      return 1;
+    }
+    serve::SketchPod pod(kBudgetFiles * probe_zipf->resident_bytes());
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < kNames; ++i) {
+      names.push_back("z" + std::to_string(i));
+      pod.AddSketch(names.back(), paths[i]);
+    }
+    std::vector<double> cdf;
+    double total = 0.0;
+    for (std::size_t i = 0; i < kNames; ++i) {
+      total += 1.0 / static_cast<double>(i + 1);
+      cdf.push_back(total);
+    }
+    util::Rng zipf_rng(4713);
+    auto draw = [&] {
+      const auto it = std::upper_bound(cdf.begin(), cdf.end(),
+                                       zipf_rng.UniformDouble() * total);
+      return std::min<std::size_t>(
+          static_cast<std::size_t>(it - cdf.begin()), kNames - 1);
+    };
+    const std::vector<core::Itemset> request(batch.begin(),
+                                             batch.begin() + 16);
+    std::vector<double> answers;
+    bool failed = false;
+    auto run_requests = [&](std::size_t requests) {
+      for (std::size_t r = 0; r < requests && !failed; ++r) {
+        const auto engine = pod.Acquire(names[draw()]);
+        if (engine == nullptr) {
+          failed = true;
+          break;
+        }
+        engine->estimate_many(request, &answers);
+      }
+    };
+    auto hits_and_loads = [&pod] {
+      std::pair<double, double> sum{0.0, 0.0};
+      for (const serve::SketchStats& s : pod.stats()) {
+        sum.first += static_cast<double>(s.hits);
+        sum.second += static_cast<double>(s.loads);
+      }
+      return sum;
+    };
+    // Untimed warm-up: fill the pod and let the access counts settle.
+    run_requests(10 * kNames * kBudgetFiles);
+    const auto before = hits_and_loads();
+    const std::size_t requests = rounds * 100;
+    const auto start = std::chrono::steady_clock::now();
+    run_requests(requests);
+    const double ns = ElapsedNs(start) / static_cast<double>(requests);
+    const auto after = hits_and_loads();
+    for (const std::string& path : paths) std::remove(path.c_str());
+    if (failed) {
+      std::fprintf(stderr, "error: zipf_churn Acquire failed\n");
+      return 1;
+    }
+    const double hits = after.first - before.first;
+    const double loads = after.second - before.second;
+    rows.push_back({"zipf_churn@mapped", 1, ns, 1, hits / (hits + loads)});
   }
 
   // -- crc32c@<tier>: the checksum kernel alone, per usable tier.
@@ -399,9 +513,13 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
                  "  {\"kernel\": \"%s\", \"threads\": %zu, \"batch\": %zu, "
-                 "\"ns_per_query\": %.1f}%s\n",
+                 "\"ns_per_query\": %.1f",
                  rows[i].kernel.c_str(), rows[i].threads, rows[i].batch,
-                 rows[i].ns_per_query, i + 1 < rows.size() ? "," : "");
+                 rows[i].ns_per_query);
+    if (rows[i].hit_ratio.has_value()) {
+      std::fprintf(out, ", \"hit_ratio\": %.4f", *rows[i].hit_ratio);
+    }
+    std::fprintf(out, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "]\n");
   if (out != stdout) std::fclose(out);

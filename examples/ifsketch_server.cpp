@@ -545,11 +545,12 @@ int main(int argc, char** argv) {
   for (const auto& pod : router.pods()) {
     for (const auto& s : pod->stats()) {
       std::fprintf(stderr,
-                   "stats %s: hits=%llu loads=%llu duplicate_loads=%llu "
-                   "evictions=%llu queries=%llu publishes=%llu "
-                   "resident=%zuB\n",
+                   "stats %s: hits=%llu loads=%llu bypasses=%llu "
+                   "duplicate_loads=%llu evictions=%llu queries=%llu "
+                   "publishes=%llu resident=%zuB\n",
                    s.name.c_str(), static_cast<unsigned long long>(s.hits),
                    static_cast<unsigned long long>(s.loads),
+                   static_cast<unsigned long long>(s.bypasses),
                    static_cast<unsigned long long>(s.duplicate_loads),
                    static_cast<unsigned long long>(s.evictions),
                    static_cast<unsigned long long>(s.queries),

@@ -71,6 +71,9 @@
 //   serve_sketch_queries_total{pod=,sketch=}      counter   point queries
 //   serve_sketch_hits_total / _loads_total
 //     / _evictions_total{pod=,sketch=}            counter   pod cache traffic
+//   serve_sketch_bypasses_total{pod=,sketch=}     counter   loads served but
+//                                                           not installed: a
+//                                                           resident is hotter
 //   serve_sketch_duplicate_loads_total            counter   Engine::Open calls
 //     {pod=,sketch=}                                        discarded: a
 //                                                           concurrent Acquire

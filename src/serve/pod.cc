@@ -33,6 +33,7 @@ SketchPod::EntryMetrics SketchPod::ResolveMetrics(
   EntryMetrics m;
   m.hits = registry_->GetCounter(series("serve_sketch_hits_total"));
   m.loads = registry_->GetCounter(series("serve_sketch_loads_total"));
+  m.bypasses = registry_->GetCounter(series("serve_sketch_bypasses_total"));
   m.duplicate_loads =
       registry_->GetCounter(series("serve_sketch_duplicate_loads_total"));
   m.evictions =
@@ -126,6 +127,11 @@ std::shared_ptr<const Engine> SketchPod::Acquire(const std::string& name) {
   if (it == catalog_.end()) return nullptr;
   Entry& entry = it->second;
   entry.last_used = ++lru_clock_;
+  ++entry.accesses;
+  if (++acquires_since_aging_ >= kAgingAcquiresPerName * catalog_.size()) {
+    acquires_since_aging_ = 0;
+    for (auto& named : catalog_) named.second.accesses /= 2;
+  }
   if (entry.engine != nullptr) {
     entry.metrics.hits->Add();
     return entry.engine;
@@ -155,18 +161,28 @@ std::shared_ptr<const Engine> SketchPod::Acquire(const std::string& name) {
   if (engine == nullptr) return nullptr;
 
   const std::size_t bytes = engine->resident_bytes();
+  entry.rows_seen = engine->n();
+  entry.metrics.loads->Add();
   // Make room first; the incoming sketch is not resident yet, so it can
   // never be its own victim. A sketch bigger than the whole budget gets
-  // everything evicted and is then admitted alone.
+  // everything evicted and is then admitted alone. Either way it is
+  // admitted only if it is not colder than any victim; otherwise it
+  // serves this caller uninstalled and is released when the caller
+  // drops it, outside the lock.
   if (byte_budget_ != kUnlimited) {
-    EvictToFitLocked(bytes <= byte_budget_ ? byte_budget_ - bytes : 0,
-                     &retired);
+    const std::vector<Entry*> victims =
+        VictimsLocked(bytes <= byte_budget_ ? byte_budget_ - bytes : 0);
+    for (const Entry* victim : victims) {
+      if (entry.accesses < victim->accesses) {
+        entry.metrics.bypasses->Add();
+        return engine;
+      }
+    }
+    EvictLocked(victims, &retired);
   }
   entry.engine = std::move(engine);
   entry.bytes = bytes;
   entry.last_used = ++lru_clock_;
-  entry.rows_seen = entry.engine->n();
-  entry.metrics.loads->Add();
   resident_bytes_ += bytes;
   return entry.engine;
 }
@@ -207,6 +223,7 @@ std::vector<SketchStats> SketchPod::stats() const {
     s.name = name;
     s.hits = entry.metrics.hits->Value();
     s.loads = entry.metrics.loads->Value();
+    s.bypasses = entry.metrics.bypasses->Value();
     s.duplicate_loads = entry.metrics.duplicate_loads->Value();
     s.evictions = entry.metrics.evictions->Value();
     s.queries = entry.metrics.queries->Value();
@@ -245,18 +262,35 @@ PodFault SketchPod::fault() const {
   return fault_;
 }
 
-void SketchPod::EvictToFitLocked(std::size_t budget, Retired* retired) {
-  while (resident_bytes_ > budget) {
+std::vector<SketchPod::Entry*> SketchPod::VictimsLocked(
+    std::size_t budget) {
+  std::vector<Entry*> victims;
+  std::size_t remaining = resident_bytes_;
+  // Every resident took its own lru_clock_ tick when it was last used,
+  // so last_used values are distinct and `after` walks them in order.
+  std::uint64_t after = 0;
+  while (remaining > budget) {
     Entry* victim = nullptr;
     for (auto& [name, entry] : catalog_) {
       // Published snapshots are pinned: with no backing file there is no
       // way to reload one, so eviction would lose it outright.
       if (entry.engine == nullptr || entry.path.empty()) continue;
-      if (victim == nullptr || entry.last_used < victim->last_used) {
+      if (entry.last_used > after &&
+          (victim == nullptr || entry.last_used < victim->last_used)) {
         victim = &entry;
       }
     }
-    if (victim == nullptr) return;  // nothing evictable remains
+    if (victim == nullptr) break;  // nothing evictable remains
+    victims.push_back(victim);
+    remaining -= victim->bytes;
+    after = victim->last_used;
+  }
+  return victims;
+}
+
+void SketchPod::EvictLocked(const std::vector<Entry*>& victims,
+                            Retired* retired) {
+  for (Entry* victim : victims) {
     // In-flight queries hold their own shared_ptr; this only hands the
     // pod's reference to the caller's Retired list, so the engine is
     // destroyed once they finish, and never under mu_.
@@ -265,6 +299,10 @@ void SketchPod::EvictToFitLocked(std::size_t budget, Retired* retired) {
     victim->bytes = 0;
     victim->metrics.evictions->Add();
   }
+}
+
+void SketchPod::EvictToFitLocked(std::size_t budget, Retired* retired) {
+  EvictLocked(VictimsLocked(budget), retired);
 }
 
 }  // namespace ifsketch::serve

@@ -7,14 +7,17 @@
 // one directory would race on those paths. Before the first test runs,
 // this environment creates a fresh directory under the inherited
 // TempDir() and points TEST_TMPDIR -- which testing::TempDir() reads on
-// every call -- at it; the directory and its contents are removed when
-// the process finishes.
+// every call -- at it; the directory and its contents are removed, and
+// the inherited TEST_TMPDIR restored, after the tests finish. Restoring
+// it lets --gtest_repeat run SetUp again under the inherited directory
+// instead of under the one just removed.
 
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <system_error>
 
@@ -23,6 +26,9 @@ namespace {
 class PrivateTmpDir : public testing::Environment {
  public:
   void SetUp() override {
+    const char* inherited = ::getenv("TEST_TMPDIR");
+    inherited_ = inherited != nullptr ? std::optional<std::string>(inherited)
+                                      : std::nullopt;
     std::string path = testing::TempDir() + "ifsketch_tests.XXXXXX";
     if (::mkdtemp(path.data()) == nullptr) return;  // keep the shared dir
     dir_ = path;
@@ -35,10 +41,17 @@ class PrivateTmpDir : public testing::Environment {
     if (dir_.empty()) return;
     std::error_code ignored;
     std::filesystem::remove_all(dir_, ignored);
+    dir_.clear();
+    if (inherited_.has_value()) {
+      ::setenv("TEST_TMPDIR", inherited_->c_str(), 1);
+    } else {
+      ::unsetenv("TEST_TMPDIR");
+    }
   }
 
  private:
   std::string dir_;
+  std::optional<std::string> inherited_;  // TEST_TMPDIR before SetUp
 };
 
 [[maybe_unused]] testing::Environment* const kPrivateTmpDir =

@@ -1,6 +1,7 @@
-// SketchPod: open-on-demand loading, LRU + byte-budget admission, stats,
-// and eviction safety while queries are in flight (run under
-// -fsanitize=thread by the CI tsan job).
+// SketchPod: open-on-demand loading, LRU eviction with frequency-gated
+// admission under a byte budget, stats, and eviction safety while
+// queries are in flight (run under -fsanitize=thread by the CI tsan
+// job).
 
 #include "serve/pod.h"
 
@@ -482,6 +483,112 @@ TEST(SketchPodTest, ChurnAccountsEveryServedAcquireExactlyOnce) {
   EXPECT_EQ(accounted, served.load());
   EXPECT_GT(evictions, 0u);
   EXPECT_LE(pod.resident_bytes(), 2 * each);
+  // A bypass is a load that was not installed, never an extra Acquire.
+  for (const SketchStats& s : pod.stats()) EXPECT_LE(s.bypasses, s.loads);
+}
+
+// Frequency-gated admission: a name colder than the LRU victim is
+// answered by a freshly opened engine that is not installed, so the
+// hot residents stay and nothing is evicted for it. Repeated Acquires
+// warm it up: once its count reaches the victim's it is admitted (ties
+// admit) and the victim is evicted.
+TEST(SketchPodTest, ColdNameBypassesUntilAsHotAsTheVictim) {
+  const std::string pa = MakeSketchFile("pod_adm_a", 400, 10, 60);
+  const std::string pb = MakeSketchFile("pod_adm_b", 400, 10, 61);
+  const std::string pc = MakeSketchFile("pod_adm_c", 400, 10, 62);
+  const std::size_t each = ResidentBytesOf(pa);
+  SketchPod pod(2 * each);
+  ASSERT_TRUE(pod.AddSketch("a", pa));
+  ASSERT_TRUE(pod.AddSketch("b", pb));
+  ASSERT_TRUE(pod.AddSketch("c", pc));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_NE(pod.Acquire("a"), nullptr);  // a ends up the LRU victim
+    ASSERT_NE(pod.Acquire("b"), nullptr);
+  }
+
+  const std::vector<core::Itemset> queries = {
+      core::Itemset(10, {1, 3}), core::Itemset(10, {0, 2, 5}),
+      core::Itemset(10, {4})};
+  std::vector<double> expected, answers;
+  Engine::Open(pc)->estimate_many(queries, &expected);
+  {
+    const auto engine = pod.Acquire("c");
+    ASSERT_NE(engine, nullptr);
+    engine->estimate_many(queries, &answers);
+    EXPECT_EQ(answers, expected);
+  }
+  {
+    const auto stats = pod.stats();
+    EXPECT_TRUE(StatsFor(stats, "a").resident);
+    EXPECT_TRUE(StatsFor(stats, "b").resident);
+    EXPECT_FALSE(StatsFor(stats, "c").resident);
+    EXPECT_EQ(StatsFor(stats, "c").loads, 1u);
+    EXPECT_EQ(StatsFor(stats, "c").bypasses, 1u);
+    for (const SketchStats& s : stats) EXPECT_EQ(s.evictions, 0u) << s.name;
+    EXPECT_EQ(pod.resident_bytes(), 2 * each);
+  }
+
+  ASSERT_NE(pod.Acquire("c"), nullptr);  // second: still colder than a
+  EXPECT_EQ(StatsFor(pod.stats(), "c").bypasses, 2u);
+  ASSERT_NE(pod.Acquire("c"), nullptr);  // third: as hot as a
+  const auto stats = pod.stats();
+  EXPECT_TRUE(StatsFor(stats, "c").resident);
+  EXPECT_EQ(StatsFor(stats, "c").loads, 3u);
+  EXPECT_EQ(StatsFor(stats, "c").bypasses, 2u);
+  EXPECT_FALSE(StatsFor(stats, "a").resident);
+  EXPECT_EQ(StatsFor(stats, "a").evictions, 1u);
+  EXPECT_TRUE(StatsFor(stats, "b").resident);
+  EXPECT_EQ(pod.resident_bytes(), 2 * each);
+}
+
+// Counts age: a name that was hot but goes unused while the pod keeps
+// serving others loses its protection after enough aging periods, and
+// a single Acquire of a cold name then evicts it.
+TEST(SketchPodTest, AgingEndsTheProtectionOfAnIdleHotName) {
+  const std::string pa = MakeSketchFile("pod_age_a", 400, 10, 66);
+  const std::string pb = MakeSketchFile("pod_age_b", 400, 10, 67);
+  const std::string pc = MakeSketchFile("pod_age_c", 400, 10, 68);
+  const std::size_t each = ResidentBytesOf(pa);
+  SketchPod pod(2 * each);
+  ASSERT_TRUE(pod.AddSketch("a", pa));
+  ASSERT_TRUE(pod.AddSketch("b", pb));
+  ASSERT_TRUE(pod.AddSketch("c", pc));
+  for (int i = 0; i < 8; ++i) ASSERT_NE(pod.Acquire("a"), nullptr);
+  ASSERT_NE(pod.Acquire("b"), nullptr);  // a is now the LRU victim
+
+  ASSERT_NE(pod.Acquire("c"), nullptr);
+  EXPECT_EQ(StatsFor(pod.stats(), "c").bypasses, 1u);  // a is protected
+
+  // Many aging periods of traffic that never touches a.
+  for (int i = 0; i < 300; ++i) ASSERT_NE(pod.Acquire("b"), nullptr);
+
+  ASSERT_NE(pod.Acquire("c"), nullptr);
+  const auto stats = pod.stats();
+  EXPECT_EQ(StatsFor(stats, "c").bypasses, 1u);  // admitted this time
+  EXPECT_TRUE(StatsFor(stats, "c").resident);
+  EXPECT_FALSE(StatsFor(stats, "a").resident);
+  EXPECT_EQ(StatsFor(stats, "a").evictions, 1u);
+  EXPECT_TRUE(StatsFor(stats, "b").resident);
+}
+
+// The over-budget rule is gated too: a sketch larger than the whole
+// budget is admitted alone only when it is not colder than the
+// residents it would evict, and is otherwise served as a bypass.
+TEST(SketchPodTest, OverBudgetSketchColderThanTheResidentIsBypassed) {
+  const std::string pa = MakeSketchFile("pod_bigadm_a", 300, 10, 69);
+  const std::string pb = MakeSketchFile("pod_bigadm_b", 300, 10, 70);
+  const std::size_t each = ResidentBytesOf(pa);
+  SketchPod pod(each / 2);
+  ASSERT_TRUE(pod.AddSketch("a", pa));
+  ASSERT_TRUE(pod.AddSketch("b", pb));
+  for (int i = 0; i < 3; ++i) ASSERT_NE(pod.Acquire("a"), nullptr);
+  ASSERT_NE(pod.Acquire("b"), nullptr);
+  const auto stats = pod.stats();
+  EXPECT_TRUE(StatsFor(stats, "a").resident);
+  EXPECT_EQ(StatsFor(stats, "a").evictions, 0u);
+  EXPECT_FALSE(StatsFor(stats, "b").resident);
+  EXPECT_EQ(StatsFor(stats, "b").bypasses, 1u);
+  EXPECT_EQ(pod.resident_bytes(), each);
 }
 
 }  // namespace
