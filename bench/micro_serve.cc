@@ -6,11 +6,11 @@
 //
 // Compares direct Engine::estimate_many calls against the same batches
 // served through the wire protocol over an in-process loopback transport
-// (serve/transport.h) -- the full encode/frame/dispatch/route/coalesce/
-// decode path minus the kernel, with no socket noise -- at 1/2/4/8
-// concurrent clients. Each served client owns one connection into a
-// dedicated ServeConnection thread; all connections share one Router, so
-// concurrent clients exercise the cross-client coalescing path.
+// (serve/transport.h) -- the full encode/frame/dispatch/route/decode
+// path minus the kernel, with no socket noise -- at 1/2/4/8 concurrent
+// clients. Each served client owns one connection into a dedicated
+// ServeConnection thread; all connections share one Router, so
+// concurrent clients run their kernels on one engine side by side.
 //
 // Two replication scenarios ride along, both on a 2-pod router with
 // every name on both pods (R=2), 4 clients:

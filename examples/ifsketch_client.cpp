@@ -22,7 +22,7 @@
 // direct Engine queries, and the CI smoke test diffs the two outputs.
 // `batch` reads one query per stdin line (ascending attribute indices,
 // space-separated) and prints one estimate per line; the whole batch
-// travels in a single request frame and is answered by one fused Engine
+// travels in a single request frame and is answered by one batched Engine
 // call server-side. With the optional [frames] argument (> 1), the
 // batch is instead PIPELINED: the queries split into up to that many
 // request frames written back-to-back on one connection, and the

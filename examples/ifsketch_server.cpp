@@ -20,8 +20,8 @@
 // long-polls wait on a separate dispatch pool. A heavy request thus
 // delays the other connections on its loop, never those on other
 // loops (one loop per core by default). Concurrent requests for the same
-// sketch coalesce into fused Engine batches in the router, and a
-// replica that fails is failed over transparently. Sketch files load on
+// sketch run side by side on one engine, and a replica that fails is
+// failed over transparently. Sketch files load on
 // first use and stay resident under the per-pod byte budget (LRU
 // eviction).
 //

@@ -44,15 +44,13 @@
 //     | _kernel_ns | _encode_ns                   histogram per-stage spans
 //                                                           from the request
 //                                                           trace
-//   serve_coalesce_batches_total                  counter   fused leader
-//                                                           executions
-//   serve_coalesce_requests_total                 counter   requests that
-//                                                           entered coalescing
-//   serve_coalesce_fused_total                    counter   follower requests
-//                                                           answered by a
-//                                                           leader's batch
-//   serve_coalesce_depth                          histogram requests fused
-//                                                           per batch
+//   serve_coalesce_batches_total                  counter   Engine batch calls
+//                                                           issued by the
+//                                                           router
+//   serve_coalesce_requests_total                 counter   requests those
+//                                                           calls answered;
+//                                                           one each, so equal
+//                                                           to batches
 //   serve_loop_connections{loop=...}              gauge     open connections
 //                                                           on an event loop
 //   serve_loop_outbound_bytes{loop=...}           gauge     queued reply bytes

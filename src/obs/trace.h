@@ -16,17 +16,13 @@
 //
 //   kDecode   frame body decode + validation   (ServeConnection)
 //   kRoute    Route() span: placement, health  (Router; includes the
-//             selection, coalesce wait/lead    kernel for the leader
-//                                              of a fused batch)
+//             selection, validation            request's kernel)
 //   kAcquire  sketch open/mmap/evict           (SketchPod::Acquire)
-//   kKernel   the fused Engine call itself     (Router::RunFused)
+//   kKernel   the request's Engine batch call  (Router::Route)
 //   kEncode   reply encode + write             (ServeConnection)
 //
-// Coalescing caveat: a fused batch executes on the leader's thread, so
-// kKernel (and the Stamp inside RunFused) lands on the leader's trace;
-// followers observe the wait inside kRoute but no kernel stage. The
-// per-stage histograms therefore count kernel executions, not requests
-// -- matching serve_coalesce_batches_total by construction.
+// Every routed request runs its own kernel on its own thread, so each
+// one stamps kKernel once and serve_stage_kernel_ns counts requests.
 //
 // Threading: a trace belongs to the thread that created it. Stamps
 // from other threads land on whatever trace *that* thread carries (or

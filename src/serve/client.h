@@ -31,8 +31,8 @@
 //              Never retried: it can only fail the same way.
 //
 // Not thread-safe: one client per connection per thread. Open several
-// clients for concurrency -- the server coalesces them (see
-// serve/router.h).
+// clients for concurrency -- the server runs their requests side by
+// side, even on one sketch (see serve/router.h).
 #ifndef IFSKETCH_SERVE_CLIENT_H_
 #define IFSKETCH_SERVE_CLIENT_H_
 

@@ -55,11 +55,8 @@ Router::Router(std::vector<std::shared_ptr<SketchPod>> pods,
                                            : &obs::MetricsRegistry::Default();
   coalesce_batches_ = registry_->GetCounter("serve_coalesce_batches_total");
   coalesce_requests_ = registry_->GetCounter("serve_coalesce_requests_total");
-  coalesce_fused_ = registry_->GetCounter("serve_coalesce_fused_total");
-  coalesce_depth_ = registry_->GetHistogram("serve_coalesce_depth");
   coalesce_baseline_.batches = coalesce_batches_->Value();
   coalesce_baseline_.requests = coalesce_requests_->Value();
-  coalesce_baseline_.fused = coalesce_fused_->Value();
   pod_metrics_.reserve(pods_.size());
   for (std::size_t i = 0; i < pods_.size(); ++i) {
     const std::string pod = std::to_string(i);
@@ -340,13 +337,7 @@ CoalesceStats Router::coalesce_stats() const {
   CoalesceStats stats;
   stats.batches = coalesce_batches_->Value() - coalesce_baseline_.batches;
   stats.requests = coalesce_requests_->Value() - coalesce_baseline_.requests;
-  stats.fused = coalesce_fused_->Value() - coalesce_baseline_.fused;
   return stats;
-}
-
-Router::Slot& Router::SlotFor(const std::string& name) {
-  std::lock_guard<std::mutex> lock(slots_mu_);
-  return slots_[name];  // std::map nodes are address-stable
 }
 
 RouteStatus Router::Route(const std::string& name,
@@ -355,169 +346,49 @@ RouteStatus Router::Route(const std::string& name,
                           const std::vector<core::Itemset>& ts,
                           std::vector<double>* estimates,
                           std::vector<bool>* bits) {
-  // Slots live forever once created (their addresses must stay stable
-  // for waiting clients), so refuse to mint one for a name no replica
-  // even catalogs -- otherwise a peer cycling through made-up names
-  // would grow slots_ without bound. A pre-acquired engine is proof of
-  // cataloging.
-  if (engine == nullptr && !Knows(name)) {
-    return RouteStatus::kUnknownSketch;
+  // A request runs on the engine it arrived with, or on one
+  // replica-failover Acquire. Any live engine for the name answers
+  // identically: every replica of a file-backed sketch opens the same
+  // file, and every replica of a stream name holds the same published
+  // snapshot. Catalog entries are never removed, so a name known before
+  // the Acquire is still known when it fails.
+  if (engine == nullptr) {
+    if (!Knows(name)) return RouteStatus::kUnknownSketch;
+    engine = Acquire(name, &engine_pod);
+    if (engine == nullptr) return RouteStatus::kLoadFailed;
   }
-  Slot& slot = SlotFor(name);
-  Pending self;
-  self.ts = &ts;
-  self.estimates = estimates;
-  self.bits = bits;
-  self.engine = std::move(engine);
-  self.engine_pod = engine_pod;
-
-  std::unique_lock<std::mutex> lock(slot.mu);
-  if (slot.busy) {
-    // A batch is in flight: queue up and let its leader fuse us into the
-    // next one. Answers and status are written before `done` is set, and
-    // both sides synchronize on slot.mu.
-    slot.queue.push_back(&self);
-    slot.cv.wait(lock, [&self] { return self.done; });
-    return self.status;
+  // A request with any unanswerable query fails whole, never partially,
+  // and never reaches the engine.
+  if (estimates != nullptr &&
+      engine->params().answer != core::Answer::kEstimator) {
+    return RouteStatus::kUnsupportedQuery;
   }
-
-  // Leader: nothing in flight, so execute immediately (and alone -- a
-  // lone request must not wait for company that may never come).
-  slot.busy = true;
-  lock.unlock();
-  RunFused(name, {&self}, estimates != nullptr);
-
-  // Drain whatever queued while the batch ran, as fused batches, until
-  // the queue is empty; then hand the slot back.
-  lock.lock();
-  while (!slot.queue.empty()) {
-    std::vector<Pending*> drained;
-    drained.swap(slot.queue);
-    lock.unlock();
-    std::vector<Pending*> fused_estimates;
-    std::vector<Pending*> fused_bits;
-    for (Pending* p : drained) {
-      (p->estimates != nullptr ? fused_estimates : fused_bits).push_back(p);
+  for (const core::Itemset& t : ts) {
+    if (t.universe() != engine->d() ||
+        !engine->supports_query_size(t.size())) {
+      return RouteStatus::kUnsupportedQuery;
     }
-    if (!fused_estimates.empty()) RunFused(name, fused_estimates, true);
-    if (!fused_bits.empty()) RunFused(name, fused_bits, false);
-    lock.lock();
-    for (Pending* p : drained) p->done = true;
-    slot.cv.notify_all();
   }
-  slot.busy = false;
-  return self.status;
-}
-
-void Router::RunFused(const std::string& name,
-                      const std::vector<Pending*>& batch,
-                      bool estimator_flavor) {
-  // Requests that arrived with a pre-acquired engine use it; the rest
-  // share one replica-failover Acquire. Any live engine for the name
-  // answers identically: every replica of a file-backed sketch opens
-  // the same file, and every replica of a stream name holds the same
-  // published snapshot.
-  std::shared_ptr<const Engine> fallback;
-  std::size_t fallback_pod = kNoPod;
-  bool fallback_tried = false;
-
-  // Per-request validation: a request with any unanswerable query fails
-  // whole (never partially) and is excluded from the fused batch, so one
-  // bad client cannot abort the engine for everyone else.
-  std::vector<Pending*> runnable;
-  std::size_t queries = 0;
-  const Engine* exec = nullptr;
-  std::size_t exec_pod = kNoPod;
-  for (Pending* p : batch) {
-    const Engine* engine = p->engine.get();
-    std::size_t engine_pod = p->engine_pod;
-    if (engine == nullptr) {
-      if (!fallback_tried) {
-        fallback = Acquire(name, &fallback_pod);
-        fallback_tried = true;
-      }
-      engine = fallback.get();
-      engine_pod = fallback_pod;
-    }
-    if (engine == nullptr) {
-      p->status = Knows(name) ? RouteStatus::kLoadFailed
-                              : RouteStatus::kUnknownSketch;
-      continue;
-    }
-    bool ok = !estimator_flavor ||
-              engine->params().answer == core::Answer::kEstimator;
-    for (const core::Itemset& t : *p->ts) {
-      if (t.universe() != engine->d() ||
-          !engine->supports_query_size(t.size())) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) {
-      p->status = RouteStatus::kUnsupportedQuery;
-      continue;
-    }
-    runnable.push_back(p);
-    exec = engine;
-    exec_pod = engine_pod != kNoPod ? engine_pod : ShardOf(name);
-    queries += p->ts->size();
-  }
-  if (!runnable.empty()) {
-    // One engine call answers every runnable request. A lone request --
-    // nearly every request, since followers only queue behind a batch
-    // in flight -- runs on its own queries and answer vector, so nothing
-    // is copied. A coalesced batch runs fused: batched kernels are
-    // bit-identical per answer slot whatever the batch composition, so
-    // each scattered slice equals the request's serial answer. The
-    // in-flight gauge brackets exactly the engine call: that is the load
-    // the replica selector wants to spread. The kernel stage lands on
-    // the executing leader's trace (see obs/trace.h).
-    std::vector<core::Itemset> fused;
-    if (runnable.size() > 1) {
-      fused.reserve(queries);
-      for (Pending* p : runnable) {
-        fused.insert(fused.end(), p->ts->begin(), p->ts->end());
-      }
-    }
-    coalesce_depth_->Record(runnable.size());
+  // The kernel runs on the calling thread, concurrently with any other
+  // request on the same engine (Engine queries are const and
+  // thread-safe). The in-flight gauge brackets exactly the engine call:
+  // that is the load the replica selector wants to spread.
+  const std::size_t pod = engine_pod != kNoPod ? engine_pod : ShardOf(name);
+  {
     obs::StageTimer kernel_timer(obs::Stage::kKernel);
-    AddInflight(exec_pod, +1);
-    if (runnable.size() == 1) {
-      Pending* p = runnable.front();
-      if (estimator_flavor) {
-        exec->estimate_many(*p->ts, p->estimates);
-      } else {
-        exec->are_frequent(*p->ts, p->bits);
-      }
-    } else if (estimator_flavor) {
-      std::vector<double> answers;
-      exec->estimate_many(fused, &answers);
-      std::size_t offset = 0;
-      for (Pending* p : runnable) {
-        p->estimates->assign(answers.begin() + static_cast<std::ptrdiff_t>(offset),
-                             answers.begin() + static_cast<std::ptrdiff_t>(
-                                                   offset + p->ts->size()));
-        offset += p->ts->size();
-      }
+    AddInflight(pod, +1);
+    if (estimates != nullptr) {
+      engine->estimate_many(ts, estimates);
     } else {
-      std::vector<bool> answers;
-      exec->are_frequent(fused, &answers);
-      std::size_t offset = 0;
-      for (Pending* p : runnable) {
-        p->bits->assign(answers.begin() + static_cast<std::ptrdiff_t>(offset),
-                        answers.begin() + static_cast<std::ptrdiff_t>(
-                                              offset + p->ts->size()));
-        offset += p->ts->size();
-      }
+      engine->are_frequent(ts, bits);
     }
-    for (Pending* p : runnable) p->status = RouteStatus::kOk;
-    AddInflight(exec_pod, -1);
-    pods_[exec_pod]->CountQueries(name, queries);
+    AddInflight(pod, -1);
   }
-
+  pods_[pod]->CountQueries(name, ts.size());
+  // Every answered request is one engine batch of its own.
   coalesce_batches_->Add();
-  coalesce_requests_->Add(batch.size());
-  if (runnable.size() > 1) coalesce_fused_->Add(runnable.size());
+  coalesce_requests_->Add();
+  return RouteStatus::kOk;
 }
 
 }  // namespace ifsketch::serve

@@ -1,5 +1,5 @@
 // Router: deterministic replicated name -> pod placement with
-// health-checked failover and request coalescing.
+// health-checked failover.
 //
 // The front door over N SketchPods. Placement is R-way rendezvous
 // hashing (highest-random-weight, HRW): every pod index is scored
@@ -30,25 +30,20 @@
 // serves them -- the bit-identity CI invariants hold through every
 // failover path.
 //
-// Coalescing (unchanged from the single-shard router): concurrent
-// requests against the same sketch are fused into one batched Engine
-// call. Each sketch name has a group-commit slot: the first arriving
-// request becomes the leader and executes immediately; requests
-// arriving while a batch is in flight queue up, and when the leader
-// finishes it drains the whole queue as ONE fused
-// estimate_many/are_frequent batch (which fans out on the existing
-// ThreadPool), scattering the answer slices back to the waiting
-// clients. Fusion is answer-preserving by construction: the batched
-// query kernels are bit-identical per answer slot regardless of batch
-// composition (see core/sketch.h). Serial traffic never waits: with no
-// batch in flight a request executes immediately, alone.
+// Execution: each request runs its own batch on the calling thread,
+// with the engine it was validated against or one failover Acquire.
+// Concurrent requests on one sketch run side by side (Engine queries
+// are const and thread-safe), so a short request is never held behind
+// a long batch on the same name. There is no cross-request fusion:
+// served sketches are small (a uniform row sample's size does not
+// depend on n), so a 16-query request's kernel costs about half a
+// microsecond, less than making concurrent requests wait for one
+// another would.
 #ifndef IFSKETCH_SERVE_ROUTER_H_
 #define IFSKETCH_SERVE_ROUTER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -68,15 +63,15 @@ enum class RouteStatus {
   kUnsupportedQuery,  ///< wrong answer flavor or unsupported query size
 };
 
-/// Coalescing counters, snapshot via Router::coalesce_stats(). Since
-/// PR 8 these are read back from the metrics registry
-/// (serve_coalesce_*_total) as deltas against the router's
-/// construction-time baseline -- the struct survives as a convenience
-/// view of THIS router's traffic even when the registry is shared.
+/// Batch counters, snapshot via Router::coalesce_stats(). They are
+/// read back from the metrics registry (serve_coalesce_*_total) as
+/// deltas against the router's construction-time baseline, so the
+/// struct is a view of THIS router's traffic even when the registry is
+/// shared. Every answered request is one engine batch, so the two
+/// fields advance together.
 struct CoalesceStats {
   std::uint64_t batches = 0;   ///< Engine batch calls issued
   std::uint64_t requests = 0;  ///< client requests those batches served
-  std::uint64_t fused = 0;     ///< requests that shared a batch with others
 };
 
 /// A pod's health as the router sees it. State machine:
@@ -110,15 +105,15 @@ struct RouterOptions {
   /// First down->probe delay; doubles per failed probe up to the max.
   std::chrono::milliseconds probe_backoff{100};
   std::chrono::milliseconds probe_backoff_max{5000};
-  /// Registry the router's metrics land in (coalescing counters, batch
-  /// depth, per-pod inflight/health/probe series). Null uses the
+  /// Registry the router's metrics land in (batch counters, per-pod
+  /// inflight/health/probe series). Null uses the
   /// process-wide obs::MetricsRegistry::Default(); tests pass their own
   /// so counters start from zero.
   obs::MetricsRegistry* registry = nullptr;
 };
 
-/// Routes named-sketch requests across replicated pods, fusing
-/// concurrent batches and failing over past unhealthy replicas.
+/// Routes named-sketch requests across replicated pods, failing over
+/// past unhealthy replicas.
 class Router {
  public:
   static constexpr std::size_t kNoPod = static_cast<std::size_t>(-1);
@@ -175,8 +170,8 @@ class Router {
   std::shared_ptr<const Engine> Acquire(const std::string& name,
                                         std::size_t* served_pod = nullptr);
 
-  /// Batched estimate through `name`'s replica set, coalescing with
-  /// concurrent callers on the same name. `ts` must already be
+  /// Batched estimate through `name`'s replica set, run on the calling
+  /// thread. `ts` must already be
   /// validated against the sketch (universe d, supported sizes,
   /// estimator flavor) -- use Acquire for the checks; invalid batches
   /// fail kUnsupportedQuery.
@@ -184,7 +179,7 @@ class Router {
                            const std::vector<core::Itemset>& ts,
                            std::vector<double>* answers);
 
-  /// Batched threshold queries; same coalescing and contract.
+  /// Batched threshold queries; same contract.
   RouteStatus AreFrequent(const std::string& name,
                           const std::vector<core::Itemset>& ts,
                           std::vector<bool>* answers);
@@ -220,27 +215,6 @@ class Router {
   obs::MetricsRegistry& registry() const { return *registry_; }
 
  private:
-  /// One waiting client request inside a coalescing slot.
-  struct Pending {
-    const std::vector<core::Itemset>* ts = nullptr;
-    std::vector<double>* estimates = nullptr;   // exactly one of these
-    std::vector<bool>* bits = nullptr;          // two is non-null
-    std::shared_ptr<const Engine> engine;       // pre-acquired, or null
-    std::size_t engine_pod = kNoPod;            // who served `engine`
-    RouteStatus status = RouteStatus::kOk;
-    bool done = false;
-  };
-
-  /// Group-commit state for one sketch name. Estimate and indicator
-  /// requests coalesce in the same queue; the drain step splits them
-  /// into (at most) one fused batch per flavor.
-  struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool busy = false;
-    std::vector<Pending*> queue;
-  };
-
   /// Mutable per-pod health state; guarded by health_mu_.
   struct PodState {
     PodHealth health = PodHealth::kHealthy;
@@ -252,17 +226,15 @@ class Router {
     std::chrono::steady_clock::time_point next_probe{};
   };
 
+  /// Runs one request on the calling thread: validates `ts` against
+  /// `engine` (or against one failover Acquire when it is null) and
+  /// answers into exactly one of `estimates`/`bits`.
   RouteStatus Route(const std::string& name,
                     std::shared_ptr<const Engine> engine,
                     std::size_t engine_pod,
                     const std::vector<core::Itemset>& ts,
                     std::vector<double>* estimates,
                     std::vector<bool>* bits);
-
-  /// Executes one fused batch for every request in `batch` (all the same
-  /// flavor), writing each request's slice and status.
-  void RunFused(const std::string& name, const std::vector<Pending*>& batch,
-                bool estimator_flavor);
 
   /// `name`'s replicas in selection order: healthy by ascending
   /// in-flight load (ties rotated), then suspect, then down pods whose
@@ -273,16 +245,9 @@ class Router {
   void ReportFailure(std::size_t pod);
   void AddInflight(std::size_t pod, std::int64_t delta);
 
-  Slot& SlotFor(const std::string& name);
-
   std::vector<std::shared_ptr<SketchPod>> pods_;
   std::size_t replication_;
   RouterOptions options_;
-
-  std::mutex slots_mu_;
-  // Node-stable map: Slot addresses must survive concurrent SlotFor
-  // calls (slots are created on first use and never removed).
-  std::map<std::string, Slot> slots_;
 
   mutable std::mutex health_mu_;
   std::vector<PodState> pod_states_;
@@ -293,8 +258,6 @@ class Router {
   obs::MetricsRegistry* registry_;
   obs::Counter* coalesce_batches_;
   obs::Counter* coalesce_requests_;
-  obs::Counter* coalesce_fused_;
-  obs::Histogram* coalesce_depth_;
   // Counter values at construction: coalesce_stats() reports deltas so
   // a router sharing the process-wide registry with predecessors still
   // reports only its own traffic.

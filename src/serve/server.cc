@@ -127,8 +127,8 @@ ReplyFrame HandleEstimate(Router& router, std::string_view body) {
   std::vector<double> answers;
   RouteStatus status;
   {
-    // The route span covers coalescing: queue wait for a follower, the
-    // fused kernel for the leader (which also stamps kKernel).
+    // The route span covers validation and the request's own kernel
+    // (which also stamps kKernel).
     obs::StageTimer route_timer(obs::Stage::kRoute);
     status = router.EstimateMany(sketch, std::move(engine), ts, &answers,
                                  engine_pod);

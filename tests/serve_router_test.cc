@@ -1,6 +1,6 @@
-// Router: deterministic name -> shard assignment, and request coalescing
-// that returns exactly the answers each client would get serially (the
-// fused batches are answer-preserving by the batched-kernel contract).
+// Router: deterministic name -> shard assignment, and concurrent requests
+// on one sketch that each run their own batch side by side, returning
+// exactly the answers each client would get serially.
 
 #include "serve/router.h"
 
@@ -131,10 +131,10 @@ TEST(RouterTest, MismatchedUniverseFailsWithoutAborting) {
             RouteStatus::kUnsupportedQuery);
 }
 
-// Many clients hammer the same sketch concurrently; whatever fusion the
-// group-commit slot performs, every client must receive exactly the
-// answers of its own serial request.
-TEST(RouterTest, CoalescedAnswersEqualSerialAnswers) {
+// Many clients hammer the same sketch concurrently; every client must
+// receive exactly the answers of its own serial request, and every
+// request is one engine batch of its own.
+TEST(RouterTest, ConcurrentAnswersEqualSerialAnswers) {
   Router router(MakePods(2));
   const std::string path = MakeSketchFile("router_fuse", 25);
   ASSERT_TRUE(router.AddSketch("s", path));
@@ -170,18 +170,13 @@ TEST(RouterTest, CoalescedAnswersEqualSerialAnswers) {
   EXPECT_EQ(mismatches.load(), 0);
 
   const CoalesceStats stats = router.coalesce_stats();
-  // Every request was served...
   EXPECT_EQ(stats.requests, kClients * kRounds);
-  // ...by at most that many engine batches (strictly fewer when any
-  // fusion happened; equality is legal on a machine that never
-  // overlapped two requests).
-  EXPECT_LE(stats.batches, stats.requests);
-  EXPECT_GT(stats.batches, 0u);
+  EXPECT_EQ(stats.batches, stats.requests);
   util::ThreadPool::SetDefaultThreadCount(0);
 }
 
-// Estimate and indicator requests interleave on one name: the drain
-// split must fuse each flavor separately and still answer both exactly.
+// Estimate and indicator requests interleave on one name and run
+// concurrently on one engine: both flavors must stay bit-identical.
 TEST(RouterTest, MixedFlavorCoalescingStaysExact) {
   Router router(MakePods(1));
   const std::string path = MakeSketchFile("router_mixed", 26);
@@ -239,8 +234,8 @@ bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-// A lone request (no batch in flight) runs on its own queries and answer
-// vector instead of a fused copy; answers and counters must not notice.
+// A request runs on its own queries and answer vector: stale contents are
+// replaced, and the counters advance by exactly one batch per request.
 TEST(RouterTest, LoneRequestMatchesEngineAndCountsExactly) {
   Router router(MakePods(2));
   const std::string path = MakeSketchFile("router_lone", 28);
@@ -266,75 +261,51 @@ TEST(RouterTest, LoneRequestMatchesEngineAndCountsExactly) {
   const CoalesceStats after = router.coalesce_stats();
   EXPECT_EQ(after.batches - before.batches, 2u);
   EXPECT_EQ(after.requests - before.requests, 2u);
-  EXPECT_EQ(after.fused - before.fused, 0u);
   EXPECT_EQ(PodQueries(router, "s") - queries_before, 2 * queries.size());
 }
 
-// Followers that queue behind a long batch drain as one fused batch: the
-// counters advance by exactly the requests and queries served, and every
-// follower still gets its own serial answers.
-TEST(RouterTest, FusedBatchCountsExactly) {
+// A short request on a sketch that is busy with a long batch runs at
+// once, beside the long batch, instead of waiting for it to finish.
+TEST(RouterTest, ShortRequestIsNotHeldBehindALongBatchOnTheSameSketch) {
   Router router(MakePods(1));
-  const std::string path = MakeSketchFile("router_fused_counts", 30);
+  const std::string path = MakeSketchFile("router_not_held", 30);
   ASSERT_TRUE(router.AddSketch("s", path));
   const auto direct = Engine::Open(path);
   ASSERT_TRUE(direct.has_value());
-  // The leader's batch must outlast the followers' arrival.
   const auto slow = RandomQueries(200000, 31);
-  constexpr std::size_t kFollowers = 3;
-  std::vector<std::vector<core::Itemset>> batches;
-  std::vector<std::vector<double>> expected(kFollowers);
-  for (std::size_t f = 0; f < kFollowers; ++f) {
-    batches.push_back(RandomQueries(20 + f, 32 + f));
-    direct->estimate_many(batches[f], &expected[f]);
-  }
-  const std::uint64_t per_round =
-      slow.size() + 20 * kFollowers + kFollowers * (kFollowers - 1) / 2;
+  const auto quick = RandomQueries(20, 32);
+  std::vector<double> expected;
+  direct->estimate_many(quick, &expected);
 
-  // Fusion depends on timing; retry until one round fused, checking the
-  // exact counter advance on every round.
-  bool fused_seen = false;
-  for (int round = 0; round < 20 && !fused_seen; ++round) {
+  // Whether the short request lands inside the long batch's window
+  // depends on scheduling, so a few rounds may miss; a router that
+  // holds the short request until the long batch ends never overlaps.
+  bool overlapped = false;
+  for (int round = 0; round < 20 && !overlapped; ++round) {
     const CoalesceStats before = router.coalesce_stats();
     const std::uint64_t queries_before = PodQueries(router, "s");
-    std::atomic<bool> leader_done{false};
-    std::thread leader([&] {
+    std::atomic<bool> slow_done{false};
+    std::thread slow_thread([&] {
       std::vector<double> answers;
       EXPECT_EQ(router.EstimateMany("s", slow, &answers), RouteStatus::kOk);
-      leader_done = true;
+      slow_done = true;
     });
-    while (!leader_done && router.pod_health()[0].inflight == 0) {
+    while (!slow_done && router.pod_health()[0].inflight == 0) {
       std::this_thread::yield();
     }
-    std::vector<std::thread> followers;
-    std::atomic<int> mismatches{0};
-    for (std::size_t f = 0; f < kFollowers; ++f) {
-      followers.emplace_back([&, f] {
-        std::vector<double> answers;
-        if (router.EstimateMany("s", batches[f], &answers) !=
-                RouteStatus::kOk ||
-            !BitIdentical(answers, expected[f])) {
-          mismatches.fetch_add(1);
-        }
-      });
-    }
-    for (auto& th : followers) th.join();
-    leader.join();
-    EXPECT_EQ(mismatches.load(), 0);
-
+    std::vector<double> answers;
+    EXPECT_EQ(router.EstimateMany("s", quick, &answers), RouteStatus::kOk);
+    EXPECT_TRUE(BitIdentical(answers, expected)) << round;
+    overlapped = router.pod_health()[0].inflight > 0;
+    slow_thread.join();
+    // Overlapping requests are still counted exactly.
     const CoalesceStats after = router.coalesce_stats();
-    EXPECT_EQ(after.requests - before.requests, 1 + kFollowers);
-    EXPECT_EQ(PodQueries(router, "s") - queries_before, per_round);
-    const std::uint64_t fused = after.fused - before.fused;
-    if (fused != 0) {
-      fused_seen = true;
-      // Exactly the followers that shared one drained batch were fused,
-      // and that batch replaced their separate engine calls.
-      EXPECT_GE(fused, 2u);
-      EXPECT_EQ(after.batches - before.batches, 1 + kFollowers - fused + 1);
-    }
+    EXPECT_EQ(after.requests - before.requests, 2u);
+    EXPECT_EQ(after.batches - before.batches, 2u);
+    EXPECT_EQ(PodQueries(router, "s") - queries_before,
+              slow.size() + quick.size());
   }
-  EXPECT_TRUE(fused_seen);
+  EXPECT_TRUE(overlapped);
 }
 
 }  // namespace

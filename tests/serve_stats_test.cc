@@ -122,7 +122,7 @@ TEST(ServeStatsTest, CountersMatchIssuedRequestsExactly) {
   EXPECT_EQ(CounterValue(*stats, "serve_requests_total{op=\"are_frequent\"}"),
             kAreFrequentCalls);
   EXPECT_EQ(CounterValue(*stats, "serve_requests_total{op=\"info\"}"), 1u);
-  // Every query batch entered coalescing; a single client never fuses.
+  // Every query request is one engine batch.
   EXPECT_EQ(CounterValue(*stats, "serve_coalesce_requests_total"),
             kEstimateCalls + kAreFrequentCalls);
   EXPECT_EQ(CounterValue(*stats, "serve_coalesce_batches_total"),
@@ -163,6 +163,46 @@ TEST(ServeStatsTest, CountersMatchIssuedRequestsExactly) {
   EXPECT_GT(snap.Quantile(0.5), 0u);
   EXPECT_LE(snap.Quantile(0.5), snap.Quantile(0.99));
   EXPECT_EQ(snap.Quantile(1.0), snap.max);
+}
+
+// Four clients query one sketch at once: each request runs its own
+// kernel, so the kernel stage histogram counts requests, not executions.
+TEST(ServeStatsTest, KernelStageCountsEveryRequestUnderConcurrency) {
+  StatsRig rig = MakeStatsRig("stats_concurrent", 95);
+  constexpr int kClients = 4;
+  constexpr int kCallsPerClient = 50;
+  std::vector<std::unique_ptr<LoopbackServer>> servers;
+  std::vector<std::unique_ptr<SketchClient>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    servers.push_back(std::make_unique<LoopbackServer>(rig.router));
+    clients.push_back(
+        std::make_unique<SketchClient>(servers.back()->TakeClientEnd()));
+  }
+  const std::vector<std::vector<std::uint32_t>> queries = {{0, 1}, {2}, {3}};
+  std::vector<std::thread> threads;
+  std::vector<int> served(kClients, 0);
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      for (int i = 0; i < kCallsPerClient; ++i) {
+        if (clients[c]->EstimateMany("s", queries).has_value()) ++served[c];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::uint64_t requests = 0;
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(served[c], kCallsPerClient) << c;
+    requests += static_cast<std::uint64_t>(served[c]);
+  }
+
+  const auto stats = clients[0]->Stats();
+  ASSERT_TRUE(stats.has_value()) << clients[0]->last_error();
+  const StatsHistogram* kernel_ns =
+      FindHistogram(*stats, "serve_stage_kernel_ns");
+  ASSERT_NE(kernel_ns, nullptr);
+  EXPECT_EQ(kernel_ns->count, requests);
+  EXPECT_EQ(CounterValue(*stats, "serve_coalesce_requests_total"), requests);
+  EXPECT_EQ(CounterValue(*stats, "serve_coalesce_batches_total"), requests);
 }
 
 TEST(ServeStatsTest, StatsCountsItselfOnTheSecondCall) {
