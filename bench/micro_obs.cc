@@ -82,7 +82,7 @@ void PopulateServingShape(obs::MetricsRegistry& registry) {
   util::Rng rng(99);
   for (const char* op :
        {"estimate", "are_frequent", "info", "refresh", "subscribe",
-        "health", "stats"}) {
+        "stats"}) {
     registry.GetCounter(obs::LabeledName("serve_requests_total", "op", op))
         ->Add(static_cast<std::uint64_t>(rng.UniformInt(1000)));
     auto* h = registry.GetHistogram(
@@ -104,8 +104,6 @@ void PopulateServingShape(obs::MetricsRegistry& registry) {
   for (int pod = 0; pod < 4; ++pod) {
     const std::string p = std::to_string(pod);
     registry.GetGauge(obs::LabeledName("serve_pod_inflight", "pod", p));
-    registry.GetCounter(
-        obs::LabeledName("serve_pod_probes_total", "pod", p));
     for (int s = 0; s < 4; ++s) {
       std::string sketch = "s";
       sketch += std::to_string(s);

@@ -1,5 +1,4 @@
-// micro_serve: serving overhead and failover behavior on the perf
-// trajectory.
+// micro_serve: serving overhead on the perf trajectory.
 //
 //   micro_serve --json [out.json] [--clients 1,2,4,8] [--batch 1000]
 //               [--rounds 50] [--conns 8,1024,10000]
@@ -11,18 +10,6 @@
 // clients. Each served client owns one connection into a dedicated
 // ServeConnection thread; all connections share one Router, so
 // concurrent clients run their kernels on one engine side by side.
-//
-// Two replication scenarios ride along, both on a 2-pod router with
-// every name on both pods (R=2), 4 clients:
-//   served_kill_pod  the primary replica is fault-injected dead a third
-//                    of the way in (SketchPod::SetFault refuses every
-//                    acquire) and revived at two thirds; the router
-//                    fails over, then probes the pod back in. The run
-//                    asserts ZERO client-visible failures and
-//                    bit-identical answers through the outage.
-//   served_skewed    90% of requests hammer one hot name, the rest
-//                    spread over 7 cold names; load-aware selection
-//                    spreads the hot name across its replicas.
 //
 // --conns adds the connection-scale sweep over the epoll reactor
 // (serve/reactor.h) on real loopback TCP: for each count C the bench
@@ -42,8 +29,7 @@
 //   {"kernel": str, "threads": int, "batch": int, "ns_per_query": float,
 //    "p50_ns": float, "p99_ns": float}
 // where `threads` is the number of concurrent clients and p50/p99 are
-// per-query request-latency percentiles (request latency / batch size),
-// the tail-latency columns the failover scenarios exist to watch:
+// per-query request-latency percentiles (request latency / batch size):
 //   direct           C threads calling engine.estimate_many directly
 //   served_loopback  C protocol clients through the loopback server
 // Answers are verified bit-identical to direct Engine calls on EVERY
@@ -56,7 +42,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -176,15 +161,11 @@ struct ServedOutcome {
 
 /// Runs `clients` protocol clients for `rounds` requests each through
 /// `router` over loopback connections, verifying every answer batch
-/// bit-identical to `expected`. `name_for(c, r)` picks the sketch each
-/// request targets; `on_round` (when set) runs on client 0 before its
-/// round r -- the fault-injection hook.
-ServedOutcome RunServed(
-    serve::Router& router, std::size_t clients, std::size_t rounds,
-    std::size_t batch, const std::vector<ClientBatch>& batches,
-    const std::vector<std::vector<double>>& expected,
-    const std::function<std::string(std::size_t, std::size_t)>& name_for,
-    const std::function<void(std::size_t)>& on_round) {
+/// bit-identical to `expected`.
+ServedOutcome RunServed(serve::Router& router, std::size_t clients,
+                        std::size_t rounds, std::size_t batch,
+                        const std::vector<ClientBatch>& batches,
+                        const std::vector<std::vector<double>>& expected) {
   std::vector<std::unique_ptr<serve::Transport>> client_ends;
   std::vector<std::thread> server_threads;
   for (std::size_t c = 0; c < clients; ++c) {
@@ -210,10 +191,9 @@ ServedOutcome RunServed(
     latencies[c].reserve(rounds);
     threads.emplace_back([&, c] {
       for (std::size_t r = 0; r < rounds; ++r) {
-        if (c == 0 && on_round) on_round(r);
         const auto t0 = std::chrono::steady_clock::now();
         auto answers =
-            protocol_clients[c]->EstimateMany(name_for(c, r), batches[c].wire);
+            protocol_clients[c]->EstimateMany(kSketchName, batches[c].wire);
         latencies[c].push_back(ElapsedNs(t0));
         if (!answers.has_value() || *answers != expected[c]) {
           failed.store(true);
@@ -307,10 +287,6 @@ int main(int argc, char** argv) {
   router.AddSketch(kSketchName, sketch_path);
   router.Acquire(kSketchName);  // warm: load + view materialization
 
-  const auto plain_name = [](std::size_t, std::size_t) {
-    return std::string(kSketchName);
-  };
-
   std::vector<Row> rows;
   for (std::size_t batch : batch_sizes) {
     for (std::size_t clients : client_counts) {
@@ -358,9 +334,8 @@ int main(int argc, char** argv) {
 
       // -- served: the same batches through protocol + loopback + router.
       {
-        const auto outcome = RunServed(router, clients, rounds, batch,
-                                       batches, expected, plain_name,
-                                       nullptr);
+        const auto outcome =
+            RunServed(router, clients, rounds, batch, batches, expected);
         if (!outcome.ok) {
           std::fprintf(stderr,
                        "error: served answers diverged from direct "
@@ -373,89 +348,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // -- replication scenarios: 2 pods, every name on both (R=2),
-  //    4 clients, first configured batch size.
-  {
-    const std::size_t clients = 4;
-    const std::size_t batch = batch_sizes.front();
-    std::vector<ClientBatch> batches;
-    std::vector<std::vector<double>> expected(clients);
-    for (std::size_t c = 0; c < clients; ++c) {
-      batches.push_back(MakeBatch(batch, 100 + c));
-      engine.estimate_many(batches[c].itemsets, &expected[c]);
-    }
-
-    serve::RouterOptions options;
-    options.replication = 2;
-    // Bench-speed probe windows so the revived pod rejoins within the
-    // run rather than minutes later.
-    options.probe_backoff = std::chrono::milliseconds(5);
-    options.probe_backoff_max = std::chrono::milliseconds(100);
-
-    // kill_pod: fault the primary replica dead for the middle third of
-    // the run. Zero failed requests and bit-identical answers required.
-    {
-      serve::Router frouter({std::make_shared<serve::SketchPod>(),
-                             std::make_shared<serve::SketchPod>()},
-                            options);
-      frouter.AddSketch(kSketchName, sketch_path);
-      for (const auto& pod : frouter.pods()) pod->Acquire(kSketchName);
-      serve::SketchPod& victim =
-          *frouter.pods()[frouter.ShardOf(kSketchName)];
-      std::atomic<bool> faulted{false};
-      std::atomic<bool> revived{false};
-      const auto on_round = [&](std::size_t r) {
-        if (r >= rounds / 3 && !faulted.exchange(true)) {
-          serve::PodFault fault;
-          fault.fail_acquire = true;
-          victim.SetFault(fault);
-        }
-        if (r >= (2 * rounds) / 3 && !revived.exchange(true)) {
-          victim.SetFault(serve::PodFault{});
-        }
-      };
-      const auto outcome = RunServed(frouter, clients, rounds, batch,
-                                     batches, expected, plain_name,
-                                     on_round);
-      if (!outcome.ok) {
-        std::fprintf(stderr,
-                     "error: kill_pod scenario saw a failed or divergent "
-                     "request (failover must be invisible)\n");
-        return 1;
-      }
-      rows.push_back({"served_kill_pod", clients, batch, outcome.mean_ns,
-                      outcome.p50_ns, outcome.p99_ns});
-    }
-
-    // skewed: 8 names over the same file, 90% of traffic on one.
-    {
-      serve::Router frouter({std::make_shared<serve::SketchPod>(),
-                             std::make_shared<serve::SketchPod>()},
-                            options);
-      std::vector<std::string> names = {"hot"};
-      for (int i = 0; i < 7; ++i) names.push_back("cold" + std::to_string(i));
-      for (const auto& name : names) {
-        frouter.AddSketch(name, sketch_path);
-        for (const auto& pod : frouter.pods()) pod->Acquire(name);
-      }
-      const auto name_for = [&names](std::size_t c, std::size_t r) {
-        // Deterministic 90/10 split without shared state: hash (c, r).
-        std::uint64_t h = (c * 0x9e3779b97f4a7c15ull) ^ (r * 0x2545f4914f6cdd1dull);
-        h ^= h >> 33;
-        return h % 10 < 9 ? names[0] : names[1 + h % 7];
-      };
-      const auto outcome = RunServed(frouter, clients, rounds, batch,
-                                     batches, expected, name_for, nullptr);
-      if (!outcome.ok) {
-        std::fprintf(stderr,
-                     "error: skewed scenario saw a failed or divergent "
-                     "request\n");
-        return 1;
-      }
-      rows.push_back({"served_skewed", clients, batch, outcome.mean_ns,
-                      outcome.p50_ns, outcome.p99_ns});
-    }
-  }
   // -- connection-scale sweep: C held connections into the epoll
   //    reactor over real loopback TCP, 8 of them actively pipelining.
   if (!conn_counts.empty()) {

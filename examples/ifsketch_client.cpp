@@ -6,7 +6,6 @@
 //   ifsketch_client --port P ... batch <name> [frames]  (queries on stdin)
 //   ifsketch_client --port P ... refresh <name>
 //   ifsketch_client --port P ... subscribe <name> <min_epoch> [timeout_ms]
-//   ifsketch_client --port P ... health
 //   ifsketch_client --port P ... stats
 //
 // --port takes a comma-separated endpoint list: the client connects to
@@ -71,7 +70,6 @@ int Usage() {
                "frames > 1 pipelines)\n"
                "  refresh <name>\n"
                "  subscribe <name> <min_epoch> [timeout_ms]\n"
-               "  health\n"
                "  stats\n");
   return 2;
 }
@@ -159,21 +157,6 @@ int Subscribe(serve::SketchClient& client, const std::string& name,
     std::fprintf(stderr, "error: timed out waiting for epoch > %llu\n",
                  static_cast<unsigned long long>(min_epoch));
     return 1;
-  }
-  return 0;
-}
-
-int Health(serve::SketchClient& client) {
-  const auto pods = client.Health();
-  if (!pods.has_value()) return ServerError(client);
-  static const char* const kNames[] = {"healthy", "suspect", "down"};
-  for (std::size_t i = 0; i < pods->size(); ++i) {
-    const serve::PodHealthInfo& pod = (*pods)[i];
-    std::printf("pod %zu: %s failures=%u inflight=%llu resident=%lluB\n",
-                i, pod.health <= 2 ? kNames[pod.health] : "?",
-                pod.consecutive_failures,
-                static_cast<unsigned long long>(pod.inflight),
-                static_cast<unsigned long long>(pod.resident_bytes));
   }
   return 0;
 }
@@ -293,7 +276,6 @@ int main(int argc, char** argv) {
       policy);
 
   const std::string& cmd = args[0];
-  if (cmd == "health" && args.size() == 1) return Health(client);
   if (cmd == "stats" && args.size() == 1) return Stats(client);
   if (args.size() < 2) return Usage();
   const std::string& name = args[1];

@@ -1,7 +1,7 @@
 // ifsketch_server: serve IFSK sketch files over loopback TCP.
 //
 //   ifsketch_server --sketch NAME=PATH [--sketch NAME=PATH ...]
-//                   [--port P] [--pods N] [--replicas R] [--budget BYTES]
+//                   [--port P] [--pods N] [--budget BYTES]
 //                   [--threads T] [--loop-threads L] [--max-conns C]
 //                   [--stats-every SECS]
 //                   [--ingest NAME [--ingest-file PATH] [--ingest-algo A]
@@ -9,8 +9,8 @@
 //                    [--ingest-k K] [--ingest-eps E]
 //                    [--wal-dir DIR] [--wal-sync POLICY] [--wal-every N]]
 //
-// Registers each NAME=PATH on its owning replica set (serve/router.h
-// places every name on R of the N pods by rendezvous hashing), listens
+// Registers each NAME=PATH on its owning pod (serve/router.h places
+// every name on one of the N pods by rendezvous hashing), listens
 // on 127.0.0.1:P (0 = ephemeral), and serves the wire protocol
 // (serve/protocol.h) through the epoll reactor (serve/reactor.h):
 // --loop-threads event loops multiplex every connection, clients may
@@ -20,10 +20,11 @@
 // long-polls wait on a separate dispatch pool. A heavy request thus
 // delays the other connections on its loop, never those on other
 // loops (one loop per core by default). Concurrent requests for the same
-// sketch run side by side on one engine, and a replica that fails is
-// failed over transparently. Sketch files load on
-// first use and stay resident under the per-pod byte budget (LRU
-// eviction).
+// sketch run side by side on one engine. Sketch files load on first use
+// and stay resident under the per-pod byte budget (LRU eviction,
+// frequency-gated admission; see serve/pod.h).
+// Failover is between server processes: run several and give the
+// client their ports (ifsketch_client --port P1,P2,...).
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops accepting,
 // in-flight connections drain, the --ingest-save snapshot (if any) is
@@ -102,8 +103,8 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: ifsketch_server --sketch NAME=PATH [--sketch NAME=PATH ...]\n"
-      "                       [--port P] [--pods N] [--replicas R]\n"
-      "                       [--budget BYTES] [--threads T] "
+      "                       [--port P] [--pods N] [--budget BYTES]\n"
+      "                       [--threads T] "
       "[--loop-threads L] [--max-conns C]\n"
       "\n"
       "  --sketch NAME=PATH  register an IFSK file under NAME "
@@ -111,8 +112,6 @@ int Usage() {
       "  --port P            TCP port on 127.0.0.1 (default 0 = "
       "ephemeral)\n"
       "  --pods N            shard count (default 1)\n"
-      "  --replicas R        replicas per sketch name, <= pods "
-      "(default 1)\n"
       "  --budget BYTES      per-pod resident byte budget (default "
       "unlimited)\n"
       "  --threads T         query thread-pool size (default: "
@@ -179,7 +178,6 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> sketches;
   std::size_t port = 0;
   std::size_t pods = 1;
-  std::size_t replicas = 1;
   std::size_t budget = serve::SketchPod::kUnlimited;
   std::size_t max_conns = 0;     // concurrent cap; 0 = unlimited
   std::size_t loop_threads = 0;  // 0 = all cores
@@ -211,11 +209,6 @@ int main(int argc, char** argv) {
       if (!ParseSize(argv[++i], &port) || port > 65535) return Usage();
     } else if (arg == "--pods" && has_value) {
       if (!ParseSize(argv[++i], &pods) || pods == 0 || pods > 1024) {
-        return Usage();
-      }
-    } else if (arg == "--replicas" && has_value) {
-      if (!ParseSize(argv[++i], &replicas) || replicas == 0 ||
-          replicas > 1024) {
         return Usage();
       }
     } else if (arg == "--budget" && has_value) {
@@ -271,11 +264,6 @@ int main(int argc, char** argv) {
     }
   }
   if (sketches.empty() && ingest_name.empty()) return Usage();
-  if (replicas > pods) {
-    std::fprintf(stderr, "error: --replicas %zu exceeds --pods %zu\n",
-                 replicas, pods);
-    return 2;
-  }
   if (!wal_dir.empty() && ingest_name.empty()) {
     std::fprintf(stderr, "error: --wal-dir requires --ingest\n");
     return 2;
@@ -299,9 +287,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < pods; ++i) {
     pod_vec.push_back(std::make_shared<serve::SketchPod>(budget));
   }
-  serve::RouterOptions router_options;
-  router_options.replication = replicas;
-  serve::Router router(std::move(pod_vec), router_options);
+  serve::Router router(std::move(pod_vec));
   // Validate EVERY registration before binding the port: an operator
   // restarting a server with a long --sketch roster learns about all the
   // bad entries (duplicate names, unopenable or corrupt files) in one
@@ -323,9 +309,8 @@ int main(int argc, char** argv) {
       ++bad_registrations;
       continue;
     }
-    std::fprintf(stderr, "serving \"%s\" from %s on shard %zu (x%zu)\n",
-                 name.c_str(), path.c_str(), router.ShardOf(name),
-                 router.ReplicasOf(name).size());
+    std::fprintf(stderr, "serving \"%s\" from %s on shard %zu\n",
+                 name.c_str(), path.c_str(), router.ShardOf(name));
   }
   if (!ingest_name.empty()) {
     if (!router.AddStream(ingest_name)) {

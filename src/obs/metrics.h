@@ -62,10 +62,9 @@
 //   serve_backpressure_hangups_total              counter   connections closed
 //                                                           at the outbound
 //                                                           byte cap
-//   serve_pod_inflight{pod=...}                   gauge     requests in flight
-//   serve_pod_health_transitions_total{pod=...}   counter   health state edges
-//   serve_pod_probes_total{pod=...}               counter   probe dispatches
-//   serve_pod_failovers_total{pod=...}            counter   reroutes away
+//   serve_pod_inflight{pod=...}                   gauge     query batches
+//                                                           running on the
+//                                                           pod's engines
 //   serve_sketch_queries_total{pod=,sketch=}      counter   point queries
 //   serve_sketch_hits_total / _loads_total
 //     / _evictions_total{pod=,sketch=}            counter   pod cache traffic
@@ -78,8 +77,6 @@
 //                                                           loaded it first
 //   serve_sketch_publishes_total{pod=,sketch=}    counter   snapshot installs
 //   serve_sketch_epoch{pod=,sketch=}              gauge     published epoch
-//                                                           (cross-pod max -
-//                                                           value = lag)
 //   ingest_rows_total                             counter   rows drained from
 //                                                           the ring
 //   ingest_ring_occupancy                         gauge     rows waiting

@@ -15,8 +15,8 @@
 // The stages, in request order:
 //
 //   kDecode   frame body decode + validation   (ServeConnection)
-//   kRoute    Route() span: placement, health  (Router; includes the
-//             selection, validation            request's kernel)
+//   kRoute    Route() span: placement and      (Router; includes the
+//             validation                       request's kernel)
 //   kAcquire  sketch open/mmap/evict           (SketchPod::Acquire)
 //   kKernel   the request's Engine batch call  (Router::Route)
 //   kEncode   reply encode + write             (ServeConnection)

@@ -342,18 +342,6 @@ std::optional<SnapshotInfo> SketchClient::Subscribe(const std::string& sketch,
   return info;
 }
 
-std::optional<std::vector<PodHealthInfo>> SketchClient::Health() {
-  const auto reply =
-      RoundTrip(Opcode::kHealth, std::string(), Opcode::kHealthReply);
-  if (!reply.has_value()) return std::nullopt;
-  auto pods = DecodeHealthReply(reply->body);
-  if (!pods.has_value()) {
-    Poison("undecodable health reply");
-    return std::nullopt;
-  }
-  return pods;
-}
-
 std::optional<StatsReply> SketchClient::Stats() {
   const auto reply =
       RoundTrip(Opcode::kStats, std::string(), Opcode::kStatsReply);

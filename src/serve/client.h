@@ -145,10 +145,6 @@ class SketchClient {
                                         std::uint64_t min_epoch,
                                         std::uint32_t timeout_ms);
 
-  /// Per-pod health/load of the serving router (see protocol.h
-  /// PodHealthInfo), pod-index order.
-  std::optional<std::vector<PodHealthInfo>> Health();
-
   /// The server's full metrics snapshot (the STATS opcode): every
   /// registry counter, gauge, and histogram by name. Reconstruct
   /// percentiles client-side with obs::HistogramSnapshot over the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 #include <utility>
 
 namespace ifsketch::serve {
@@ -114,15 +113,6 @@ bool SketchPod::WaitForEpoch(const std::string& name, std::uint64_t min_epoch,
 std::shared_ptr<const Engine> SketchPod::Acquire(const std::string& name) {
   Retired retired;
   std::unique_lock<std::mutex> lock(mu_);
-  // Fault hooks first: a faulted pod refuses (or stalls) before touching
-  // its catalog, exactly like a dead or wedged replica would.
-  if (fault_.acquire_delay.count() > 0) {
-    const auto delay = fault_.acquire_delay;
-    lock.unlock();
-    std::this_thread::sleep_for(delay);
-    lock.lock();
-  }
-  if (fault_.fail_acquire) return nullptr;
   auto it = catalog_.find(name);
   if (it == catalog_.end()) return nullptr;
   Entry& entry = it->second;
@@ -192,14 +182,6 @@ bool SketchPod::Knows(const std::string& name) const {
   return catalog_.count(name) > 0;
 }
 
-bool SketchPod::IsUnpublishedStream(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = catalog_.find(name);
-  if (it == catalog_.end()) return false;
-  const Entry& entry = it->second;
-  return entry.path.empty() && entry.engine == nullptr && entry.epoch == 0;
-}
-
 std::vector<std::string> SketchPod::Names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
@@ -250,16 +232,6 @@ void SketchPod::SetByteBudget(std::size_t bytes) {
 std::size_t SketchPod::byte_budget() const {
   std::lock_guard<std::mutex> lock(mu_);
   return byte_budget_;
-}
-
-void SketchPod::SetFault(const PodFault& fault) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fault_ = fault;
-}
-
-PodFault SketchPod::fault() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fault_;
 }
 
 std::vector<SketchPod::Entry*> SketchPod::VictimsLocked(

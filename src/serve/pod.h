@@ -106,17 +106,6 @@ struct SnapshotState {
   std::uint64_t rows_seen = 0;
 };
 
-/// Fault hooks for failover testing: a faulted pod behaves like a dead
-/// or overloaded replica without anything actually dying. Injected via
-/// SketchPod::SetFault; all hooks default off.
-struct PodFault {
-  /// Every Acquire returns nullptr (the pod "refuses" to serve), which
-  /// the router counts as a pod failure and fails over past.
-  bool fail_acquire = false;
-  /// Every Acquire stalls this long first (a wedged or thrashing pod).
-  std::chrono::milliseconds acquire_delay{0};
-};
-
 /// Hosts many named sketches behind one byte budget.
 class SketchPod {
  public:
@@ -175,11 +164,6 @@ class SketchPod {
   /// Whether `name` is in the catalog (resident or not).
   bool Knows(const std::string& name) const;
 
-  /// True when `name` is a stream sketch that has not published its
-  /// first snapshot: Acquire returning nullptr for it is expected, not
-  /// a pod failure (the router must not count it against health).
-  bool IsUnpublishedStream(const std::string& name) const;
-
   /// Registered names, sorted (catalog order, not residency).
   std::vector<std::string> Names() const;
 
@@ -197,11 +181,6 @@ class SketchPod {
   void SetByteBudget(std::size_t bytes);
   std::size_t byte_budget() const;
 
-  /// Installs (or, with a default-constructed PodFault, clears) the
-  /// fault hooks. Thread-safe; takes effect on the next Acquire.
-  void SetFault(const PodFault& fault);
-  PodFault fault() const;
-
  private:
   /// Registry series backing one catalog entry's counters, resolved
   /// when the entry is created (cold path). The entry's own fields keep
@@ -215,8 +194,7 @@ class SketchPod {
     obs::Counter* evictions = nullptr;
     obs::Counter* queries = nullptr;
     obs::Counter* publishes = nullptr;
-    obs::Gauge* epoch = nullptr;  // published epoch; cross-pod max -
-                                  // value = replica epoch lag
+    obs::Gauge* epoch = nullptr;  // published epoch
   };
 
   struct Entry {
@@ -266,7 +244,6 @@ class SketchPod {
   std::size_t resident_bytes_ = 0;
   std::uint64_t lru_clock_ = 0;
   std::uint64_t acquires_since_aging_ = 0;
-  PodFault fault_;  // failover-test hooks, default all-off
 };
 
 }  // namespace ifsketch::serve

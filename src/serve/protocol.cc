@@ -109,14 +109,12 @@ bool KnownOpcode(std::uint8_t byte) {
     case Opcode::kInfo:
     case Opcode::kRefresh:
     case Opcode::kSubscribe:
-    case Opcode::kHealth:
     case Opcode::kStats:
     case Opcode::kEstimateReply:
     case Opcode::kAreFrequentReply:
     case Opcode::kInfoReply:
     case Opcode::kRefreshReply:
     case Opcode::kSubscribeReply:
-    case Opcode::kHealthReply:
     case Opcode::kStatsReply:
     case Opcode::kError:
       return true;
@@ -227,19 +225,6 @@ bool EncodeSubscribeRequest(const SubscribeRequest& request,
 void EncodeSnapshotReply(const SnapshotInfo& info, std::string* body) {
   PutRaw<std::uint64_t>(body, info.epoch);
   PutRaw<std::uint64_t>(body, info.rows_seen);
-}
-
-bool EncodeHealthReply(const std::vector<PodHealthInfo>& pods,
-                       std::string* body) {
-  if (pods.size() > kMaxPodsPerReply) return false;
-  PutRaw<std::uint32_t>(body, static_cast<std::uint32_t>(pods.size()));
-  for (const PodHealthInfo& pod : pods) {
-    PutRaw<std::uint8_t>(body, pod.health);
-    PutRaw<std::uint32_t>(body, pod.consecutive_failures);
-    PutRaw<std::uint64_t>(body, pod.inflight);
-    PutRaw<std::uint64_t>(body, pod.resident_bytes);
-  }
-  return true;
 }
 
 bool EncodeStatsReply(const StatsReply& reply, std::string* body) {
@@ -430,31 +415,6 @@ std::optional<SnapshotInfo> DecodeSnapshotReply(std::string_view body) {
     return std::nullopt;
   }
   return info;
-}
-
-std::optional<std::vector<PodHealthInfo>> DecodeHealthReply(
-    std::string_view body) {
-  Reader in(body);
-  std::uint32_t count = 0;
-  if (!in.Get(count) || count > kMaxPodsPerReply) return std::nullopt;
-  // Each row is exactly 21 bytes; bound the declared count by the bytes
-  // actually present before allocating anything from it.
-  constexpr std::size_t kRowBytes = 1 + 4 + 8 + 8;
-  if (in.Remaining() != static_cast<std::size_t>(count) * kRowBytes) {
-    return std::nullopt;
-  }
-  std::vector<PodHealthInfo> pods(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    PodHealthInfo& pod = pods[i];
-    if (!in.Get(pod.health) || !in.Get(pod.consecutive_failures) ||
-        !in.Get(pod.inflight) || !in.Get(pod.resident_bytes)) {
-      return std::nullopt;
-    }
-    // The health byte must name a real state (same rule as ReadSketch).
-    if (pod.health > 2) return std::nullopt;
-  }
-  if (!in.Done()) return std::nullopt;
-  return pods;
 }
 
 std::optional<StatsReply> DecodeStatsReply(std::string_view body) {

@@ -36,15 +36,8 @@
 //   kRefreshReply / kSubscribeReply: epoch u64, rows_seen u64
 //       (a subscribe reply always reports the FINAL state -- on timeout
 //       epoch <= min_epoch, which is how clients tell the two apart)
-//   kHealth (request):    empty body
-//   kHealthReply:         pod_count u32 (<= kMaxPodsPerReply), then per
-//                         pod: health u8 (0 healthy, 1 suspect, 2 down),
-//                         consecutive_failures u32, inflight u64,
-//                         resident_bytes u64. One row per pod behind the
-//                         serving router, in pod-index order -- what a
-//                         load balancer or operator polls to see the
-//                         replica set's failure/backoff state (see
-//                         serve/router.h for how the states are driven).
+//   0x06 / 0x86:          retired (HEALTH, see the version note);
+//                         rejected like any unknown opcode
 //   kStats (request):     empty body
 //   kStatsReply:          the server's metrics registry snapshot
 //                         (src/obs/metrics.h), three sections in order:
@@ -60,13 +53,16 @@
 //           clients derive p50/p90/p99 with obs::HistogramSnapshot)
 //   kError:           header.status = Status, body = message string
 //
-// Version note: kRefresh/kSubscribe (streaming ingest, src/ingest/),
-// kHealth (replicated serving, PR 7) and kStats (observability, PR 8)
-// were added without a version bump
+// Version note: kRefresh/kSubscribe (streaming ingest, src/ingest/) and
+// kStats (observability) were added without a version bump
 // -- the protocol version stays 1 because nothing existing changed
 // shape; an older peer simply rejects the new opcodes as a malformed
 // header and hangs up, which is the defined behavior for any unknown
-// opcode.
+// opcode. The HEALTH pair (0x06 request, 0x86 reply) reported the
+// in-process replica health machine; it was retired with that
+// machine and the router's replication, so a HEALTH frame now gets the
+// unknown-opcode treatment above. Both byte values stay reserved and
+// are never reused, so an old client cannot misread a new reply.
 //
 // Decoding follows the ReadSketch validate-everything discipline: every
 // header field is checked (magic, version, known opcode, length cap)
@@ -119,9 +115,6 @@ inline constexpr std::uint32_t kMaxQueriesPerRequest = 1u << 20;
 /// timeout is a malformed frame, so one client cannot park a connection
 /// thread forever.
 inline constexpr std::uint32_t kMaxSubscribeTimeoutMs = 600000;
-/// Upper bound on pod rows in a kHealthReply (matches the server's own
-/// --pods cap with headroom); a larger declared count is malformed.
-inline constexpr std::uint32_t kMaxPodsPerReply = 4096;
 /// Upper bound on metrics per kStatsReply section; a larger declared
 /// count is malformed.
 inline constexpr std::uint32_t kMaxMetricsPerReply = 65536;
@@ -137,14 +130,14 @@ enum class Opcode : std::uint8_t {
   kInfo = 0x03,
   kRefresh = 0x04,
   kSubscribe = 0x05,
-  kHealth = 0x06,
+  // 0x06 reserved: retired HEALTH request.
   kStats = 0x07,
   kEstimateReply = 0x81,
   kAreFrequentReply = 0x82,
   kInfoReply = 0x83,
   kRefreshReply = 0x84,
   kSubscribeReply = 0x85,
-  kHealthReply = 0x86,
+  // 0x86 reserved: retired HEALTH reply.
   kStatsReply = 0x87,
   kError = 0xff,
 };
@@ -228,16 +221,6 @@ struct SubscribeRequest {
   std::string sketch;
   std::uint64_t min_epoch = 0;
   std::uint32_t timeout_ms = 0;
-};
-
-/// One kHealthReply row: a pod's health/load state as the router sees
-/// it. health is 0 healthy, 1 suspect (recent failures, still tried
-/// first-choice traffic last), 2 down (skipped until its backoff probe).
-struct PodHealthInfo {
-  std::uint8_t health = 0;
-  std::uint32_t consecutive_failures = 0;
-  std::uint64_t inflight = 0;        ///< query batches executing right now
-  std::uint64_t resident_bytes = 0;  ///< pod's resident engine bytes
 };
 
 /// One kStatsReply counter or gauge row (value type differs).
@@ -325,9 +308,6 @@ bool EncodeSubscribeRequest(const SubscribeRequest& request,
                             std::string* body);
 /// Shared payload of kRefreshReply and kSubscribeReply.
 void EncodeSnapshotReply(const SnapshotInfo& info, std::string* body);
-/// False when there are more than kMaxPodsPerReply rows.
-bool EncodeHealthReply(const std::vector<PodHealthInfo>& pods,
-                       std::string* body);
 /// False when a section exceeds kMaxMetricsPerReply, a name exceeds
 /// 64 KiB, or a histogram carries more than kMaxHistogramBuckets
 /// buckets.
@@ -361,8 +341,6 @@ std::optional<SketchInfo> DecodeInfoReply(std::string_view body);
 std::optional<std::string> DecodeRefreshRequest(std::string_view body);
 std::optional<SubscribeRequest> DecodeSubscribeRequest(std::string_view body);
 std::optional<SnapshotInfo> DecodeSnapshotReply(std::string_view body);
-std::optional<std::vector<PodHealthInfo>> DecodeHealthReply(
-    std::string_view body);
 std::optional<StatsReply> DecodeStatsReply(std::string_view body);
 std::optional<std::string> DecodeErrorMessage(std::string_view body);
 

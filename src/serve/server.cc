@@ -54,8 +54,8 @@ bool PrepareQueries(Router& router, const std::string& sketch,
                     const QueryRequestView& request,
                     std::vector<core::Itemset>* ts,
                     std::shared_ptr<const Engine>* engine_out,
-                    std::size_t* engine_pod, ReplyFrame* error) {
-  auto engine = router.Acquire(sketch, engine_pod);
+                    ReplyFrame* error) {
+  auto engine = router.Acquire(sketch);
   if (engine == nullptr) {
     if (router.Knows(sketch)) {
       *error = ErrorReply(Status::kInternal,
@@ -118,10 +118,8 @@ ReplyFrame HandleEstimate(Router& router, std::string_view body) {
   const std::string sketch(request->sketch);
   std::vector<core::Itemset> ts;
   std::shared_ptr<const Engine> engine;
-  std::size_t engine_pod = Router::kNoPod;
   ReplyFrame error;
-  if (!PrepareQueries(router, sketch, *request, &ts, &engine, &engine_pod,
-                      &error)) {
+  if (!PrepareQueries(router, sketch, *request, &ts, &engine, &error)) {
     return error;
   }
   std::vector<double> answers;
@@ -130,8 +128,7 @@ ReplyFrame HandleEstimate(Router& router, std::string_view body) {
     // The route span covers validation and the request's own kernel
     // (which also stamps kKernel).
     obs::StageTimer route_timer(obs::Stage::kRoute);
-    status = router.EstimateMany(sketch, std::move(engine), ts, &answers,
-                                 engine_pod);
+    status = router.EstimateMany(sketch, std::move(engine), ts, &answers);
   }
   if (status != RouteStatus::kOk) {
     return ErrorReply(ToProtocolStatus(status),
@@ -152,18 +149,15 @@ ReplyFrame HandleAreFrequent(Router& router, std::string_view body) {
   const std::string sketch(request->sketch);
   std::vector<core::Itemset> ts;
   std::shared_ptr<const Engine> engine;
-  std::size_t engine_pod = Router::kNoPod;
   ReplyFrame error;
-  if (!PrepareQueries(router, sketch, *request, &ts, &engine, &engine_pod,
-                      &error)) {
+  if (!PrepareQueries(router, sketch, *request, &ts, &engine, &error)) {
     return error;
   }
   std::vector<bool> answers;
   RouteStatus status;
   {
     obs::StageTimer route_timer(obs::Stage::kRoute);
-    status = router.AreFrequent(sketch, std::move(engine), ts, &answers,
-                                engine_pod);
+    status = router.AreFrequent(sketch, std::move(engine), ts, &answers);
   }
   if (status != RouteStatus::kOk) {
     return ErrorReply(ToProtocolStatus(status),
@@ -243,30 +237,6 @@ ReplyFrame HandleSubscribe(Router& router, std::string_view body) {
   });
 }
 
-ReplyFrame HandleHealth(Router& router, std::string_view body) {
-  if (!body.empty()) {
-    return ErrorReply(Status::kBadRequest, "health request takes no body");
-  }
-  const auto snapshots = router.pod_health();
-  std::vector<PodHealthInfo> pods;
-  pods.reserve(snapshots.size());
-  for (const PodHealthSnapshot& s : snapshots) {
-    PodHealthInfo info;
-    info.health = static_cast<std::uint8_t>(s.health);
-    info.consecutive_failures = s.consecutive_failures;
-    info.inflight = s.inflight;
-    info.resident_bytes = s.resident_bytes;
-    pods.push_back(info);
-  }
-  ReplyFrame reply;
-  reply.opcode = Opcode::kHealthReply;
-  if (!EncodeHealthReply(pods, &reply.body)) {
-    return ErrorReply(Status::kInternal,
-                      "health reply exceeds protocol limits");
-  }
-  return reply;
-}
-
 ReplyFrame HandleStats(Router& router, std::string_view body) {
   if (!body.empty()) {
     return ErrorReply(Status::kBadRequest, "stats request takes no body");
@@ -296,8 +266,7 @@ ReplyFrame HandleStats(Router& router, std::string_view body) {
 }
 
 constexpr const char* kOpNames[] = {"estimate", "are_frequent", "info",
-                                    "refresh",  "subscribe",    "health",
-                                    "stats"};
+                                    "refresh",  "subscribe",    "stats"};
 constexpr std::size_t kOpCount = sizeof(kOpNames) / sizeof(kOpNames[0]);
 
 /// Request-opcode index into kOpNames; kOpCount for non-request opcodes.
@@ -313,10 +282,8 @@ std::size_t OpIndex(Opcode opcode) {
       return 3;
     case Opcode::kSubscribe:
       return 4;
-    case Opcode::kHealth:
-      return 5;
     case Opcode::kStats:
-      return 6;
+      return 5;
     default:
       return kOpCount;
   }
@@ -373,8 +340,6 @@ ReplyFrame DispatchRequest(Router& router, Opcode opcode,
       return HandleRefresh(router, body);
     case Opcode::kSubscribe:
       return HandleSubscribe(router, body);
-    case Opcode::kHealth:
-      return HandleHealth(router, body);
     case Opcode::kStats:
       return HandleStats(router, body);
     default:
@@ -487,49 +452,6 @@ bool FdTransport::SetReadTimeout(std::chrono::milliseconds timeout) {
   tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
   tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
   return ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0;
-}
-
-TcpListener::~TcpListener() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-bool TcpListener::Listen(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd_, 64) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
-  port_ = ntohs(addr.sin_port);
-  return true;
-}
-
-std::unique_ptr<Transport> TcpListener::Accept() {
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) return nullptr;
-  return std::make_unique<FdTransport>(client);
-}
-
-void TcpListener::Shutdown() {
-  // shutdown(2) on a listening socket makes a blocked accept return
-  // immediately with an error (Linux: EINVAL) without racing fd reuse
-  // the way close() from another thread would; the fd itself still
-  // closes in the destructor.
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 std::unique_ptr<Transport> TcpConnect(std::uint16_t port) {

@@ -1,20 +1,19 @@
 // The serving loop: protocol dispatch over a Transport, plus TCP glue.
 //
-// ServeConnection is the whole server behavior for one connection and is
-// transport-independent: the TCP binary (examples/ifsketch_server.cpp)
-// runs it over an accepted socket, the tests and benches run the very
-// same loop over a LoopbackTransport pair. Request frames dispatch
-// through a shared Router (coalescing across connections happens there);
-// malformed frames are answered with a kError frame where framing
+// DispatchRequest answers one request frame and is the whole server
+// behavior per request: the epoll reactor (serve/reactor.h), the one TCP
+// front end, calls it inline on its event loops, and ServeConnection
+// runs it in a blocking loop over any Transport -- the tests and
+// benches use that loop over a LoopbackTransport pair. Either way a
+// frame gets the identical reply bytes. Requests on one Router run side
+// by side; nothing here or in the Router makes one wait for another.
+// Malformed frames are answered with a kError frame where framing
 // permits and the connection is closed where it does not (a bad header
 // loses frame sync, so resynchronization is impossible by design --
 // length-prefixed framing has no frame boundary markers to hunt for).
 //
-// The TCP pieces here are deliberately minimal: a blocking accept loop
-// plus one thread per connection, which the tests and small tools still
-// use. The production front end is the epoll reactor (serve/reactor.h);
-// both paths answer requests through the one DispatchRequest below, so
-// a frame gets the identical reply bytes whichever loop carried it.
+// The client side of TCP lives here too: FdTransport over a connected
+// socket and TcpConnect, which SketchClient and the benches use.
 #ifndef IFSKETCH_SERVE_SERVER_H_
 #define IFSKETCH_SERVE_SERVER_H_
 
@@ -72,33 +71,6 @@ class FdTransport : public Transport {
 
  private:
   int fd_;
-};
-
-/// Blocking loopback TCP listener.
-class TcpListener {
- public:
-  TcpListener() = default;
-  ~TcpListener();
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port; see port()).
-  bool Listen(std::uint16_t port);
-
-  /// The bound port (after a successful Listen).
-  std::uint16_t port() const { return port_; }
-
-  /// Accepts one connection; nullptr on error/shutdown.
-  std::unique_ptr<Transport> Accept();
-
-  /// Wakes a blocked Accept (it returns nullptr) and refuses further
-  /// connections; the graceful-shutdown path calls this from the signal
-  /// thread. Safe to call more than once; the fd closes in ~TcpListener.
-  void Shutdown();
-
- private:
-  int fd_ = -1;
-  std::uint16_t port_ = 0;
 };
 
 /// Connects to 127.0.0.1:`port`; nullptr on failure.

@@ -1,13 +1,11 @@
-// Replication and failover: HRW placement determinism, health-state
-// transitions with backoff probes, transparent failover that keeps
-// answers bit-identical, load spreading across replicas, client-side
-// retry over fault-injected transports, and error propagation for
-// REFRESH/SUBSCRIBE on unknown names as the client observes it on the
-// wire.
+// Failover between servers, as the client sees it: fault-injected
+// transports, client-side retry on a fresh connection (the path that
+// carries a client from a dead server process to a live one), and
+// error propagation for REFRESH/SUBSCRIBE on unknown names as the
+// client observes it on the wire.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -82,195 +80,6 @@ std::vector<std::shared_ptr<SketchPod>> MakePods(std::size_t count) {
     pods.push_back(std::make_shared<SketchPod>());
   }
   return pods;
-}
-
-RouterOptions Replicated(std::size_t r) {
-  RouterOptions options;
-  options.replication = r;
-  options.fail_threshold = 2;
-  options.probe_backoff = std::chrono::milliseconds(30);
-  options.probe_backoff_max = std::chrono::milliseconds(200);
-  return options;
-}
-
-PodFault FailAcquire() {
-  PodFault fault;
-  fault.fail_acquire = true;
-  return fault;
-}
-
-// ---------------------------------------------------------- placement
-
-TEST(FailoverTest, ReplicaSetsAreDeterministicDistinctAndOrdered) {
-  Router router(MakePods(5), Replicated(3));
-  Router twin(MakePods(5), Replicated(3));
-  for (int i = 0; i < 64; ++i) {
-    const std::string name = "sketch-" + std::to_string(i);
-    const auto replicas = router.ReplicasOf(name);
-    ASSERT_EQ(replicas.size(), 3u);
-    // All distinct pods, all in range.
-    for (std::size_t a = 0; a < replicas.size(); ++a) {
-      ASSERT_LT(replicas[a], 5u);
-      for (std::size_t b = a + 1; b < replicas.size(); ++b) {
-        EXPECT_NE(replicas[a], replicas[b]) << name;
-      }
-    }
-    // Pure function of the name: an independent router (fresh process,
-    // restart) computes the identical ordered set.
-    EXPECT_EQ(twin.ReplicasOf(name), replicas) << name;
-    // The primary is the HRW winner.
-    EXPECT_EQ(router.ShardOf(name), replicas.front()) << name;
-  }
-}
-
-TEST(FailoverTest, ReplicationClampsToPodCount) {
-  Router router(MakePods(2), Replicated(8));
-  EXPECT_EQ(router.replication(), 2u);
-  EXPECT_EQ(router.ReplicasOf("x").size(), 2u);
-  Router solo(MakePods(1));  // default options: R=1, old behavior
-  EXPECT_EQ(solo.replication(), 1u);
-  EXPECT_EQ(solo.ReplicasOf("x"), std::vector<std::size_t>{0});
-}
-
-TEST(FailoverTest, AddSketchRegistersOnEveryReplica) {
-  Router router(MakePods(4), Replicated(2));
-  const std::string path = MakeSketchFile("failover_reg", 31);
-  ASSERT_TRUE(router.AddSketch("name", path));
-  const auto replicas = router.ReplicasOf("name");
-  std::size_t knowing = 0;
-  for (std::size_t i = 0; i < router.pod_count(); ++i) {
-    if (router.pods()[i]->Knows("name")) {
-      ++knowing;
-      EXPECT_TRUE(std::find(replicas.begin(), replicas.end(), i) !=
-                  replicas.end())
-          << i;
-    }
-  }
-  EXPECT_EQ(knowing, 2u);
-  // Registering the same name again fails on every replica.
-  EXPECT_FALSE(router.AddSketch("name", path));
-}
-
-// ------------------------------------------------------------ failover
-
-TEST(FailoverTest, FailoverKeepsAnswersBitIdentical) {
-  Router router(MakePods(2), Replicated(2));
-  const std::string path = MakeSketchFile("failover_bits", 32);
-  ASSERT_TRUE(router.AddSketch("s", path));
-  const auto queries = RandomQueries(40, 7);
-  auto direct = Engine::Open(path);
-  ASSERT_TRUE(direct.has_value());
-  std::vector<double> expected;
-  direct->estimate_many(queries, &expected);
-
-  std::vector<double> before;
-  ASSERT_EQ(router.EstimateMany("s", queries, &before), RouteStatus::kOk);
-  EXPECT_EQ(before, expected);
-
-  // Kill the primary: every request transparently fails over and the
-  // answers never change by a bit.
-  SketchPod& primary = *router.pods()[router.ShardOf("s")];
-  primary.SetFault(FailAcquire());
-  for (int i = 0; i < 5; ++i) {
-    std::vector<double> answers;
-    ASSERT_EQ(router.EstimateMany("s", queries, &answers),
-              RouteStatus::kOk)
-        << i;
-    EXPECT_EQ(answers, expected) << i;
-  }
-  // With EVERY replica refusing, the name is known but unservable.
-  for (const auto& pod : router.pods()) pod->SetFault(FailAcquire());
-  std::vector<double> answers;
-  EXPECT_EQ(router.EstimateMany("s", queries, &answers),
-            RouteStatus::kLoadFailed);
-  for (const auto& pod : router.pods()) pod->SetFault(PodFault{});
-  ASSERT_EQ(router.EstimateMany("s", queries, &answers), RouteStatus::kOk);
-  EXPECT_EQ(answers, expected);
-}
-
-TEST(FailoverTest, HealthWalksSuspectDownAndProbesBack) {
-  Router router(MakePods(2), Replicated(2));
-  const std::string path = MakeSketchFile("failover_health", 33);
-  ASSERT_TRUE(router.AddSketch("s", path));
-  const std::size_t primary = router.ShardOf("s");
-  router.pods()[primary]->SetFault(FailAcquire());
-
-  // First failure marks the primary suspect; the healthy replica takes
-  // over and -- because suspect pods are deprioritized, not retried
-  // while a healthy peer serves -- the count stays at one.
-  ASSERT_NE(router.Acquire("s"), nullptr);  // failed over, still served
-  EXPECT_EQ(router.pod_health()[primary].health, PodHealth::kSuspect);
-  ASSERT_NE(router.Acquire("s"), nullptr);
-  auto health = router.pod_health();
-  EXPECT_EQ(health[primary].health, PodHealth::kSuspect);
-  EXPECT_EQ(health[primary].consecutive_failures, 1u);
-
-  // Fault the secondary too: the next requests walk healthy then
-  // suspect, every attempt fails, and the primary crosses the
-  // fail_threshold into kDown. A total outage is client-visible.
-  const std::size_t secondary = 1 - primary;
-  router.pods()[secondary]->SetFault(FailAcquire());
-  EXPECT_EQ(router.Acquire("s"), nullptr);
-  EXPECT_EQ(router.Acquire("s"), nullptr);
-  health = router.pod_health();
-  EXPECT_EQ(health[primary].health, PodHealth::kDown);
-  EXPECT_GE(health[primary].consecutive_failures, 2u);
-  EXPECT_EQ(health[secondary].health, PodHealth::kDown);
-
-  // Revive the primary; once its backoff elapses the next request
-  // probes it and it rejoins as healthy while the secondary stays down.
-  router.pods()[primary]->SetFault(PodFault{});
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  ASSERT_NE(router.Acquire("s"), nullptr);
-  health = router.pod_health();
-  EXPECT_EQ(health[primary].health, PodHealth::kHealthy);
-  EXPECT_EQ(health[primary].consecutive_failures, 0u);
-  EXPECT_GE(health[primary].probes, 1u);
-  EXPECT_EQ(health[secondary].health, PodHealth::kDown);
-}
-
-TEST(FailoverTest, SerialHotNameSpreadsAcrossReplicas) {
-  Router router(MakePods(2), Replicated(2));
-  const std::string path = MakeSketchFile("failover_spread", 34);
-  ASSERT_TRUE(router.AddSketch("hot", path));
-  const auto queries = RandomQueries(10, 9);
-  for (int i = 0; i < 8; ++i) {
-    std::vector<double> answers;
-    ASSERT_EQ(router.EstimateMany("hot", queries, &answers),
-              RouteStatus::kOk);
-  }
-  // Equal-load ties rotate, so serial traffic on one hot name lands on
-  // BOTH replicas rather than pinning the first.
-  for (const auto& pod : router.pods()) {
-    std::uint64_t served = 0;
-    for (const auto& s : pod->stats()) {
-      if (s.name == "hot") served = s.queries;
-    }
-    EXPECT_GT(served, 0u);
-  }
-}
-
-TEST(FailoverTest, EmptyPodParticipatesHarmlessly) {
-  // One replica of everything lands on a pod that catalogs nothing;
-  // routing must neither crash nor mark anyone unhealthy over it.
-  Router router(MakePods(2), Replicated(1));
-  const std::string path = MakeSketchFile("failover_empty", 35);
-  std::string on_zero = "a";
-  // Find a name whose single replica is pod 0, leaving pod 1 empty.
-  while (router.ShardOf(on_zero) != 0) on_zero += "a";
-  ASSERT_TRUE(router.AddSketch(on_zero, path));
-  EXPECT_TRUE(router.pods()[1]->Names().empty());
-
-  std::vector<double> answers;
-  EXPECT_EQ(router.EstimateMany("unknown", RandomQueries(3, 1), &answers),
-            RouteStatus::kUnknownSketch);
-  EXPECT_EQ(router.Acquire("unknown"), nullptr);
-  ASSERT_EQ(router.EstimateMany(on_zero, RandomQueries(3, 1), &answers),
-            RouteStatus::kOk);
-  const auto health = router.pod_health();
-  EXPECT_EQ(health[0].health, PodHealth::kHealthy);
-  EXPECT_EQ(health[1].health, PodHealth::kHealthy);
-  EXPECT_EQ(health[1].failovers, 0u);
 }
 
 // ------------------------------------------------- fault injection
@@ -452,7 +261,7 @@ TEST(ClientRetryTest, OverallDeadlineCapsTheRetryLoop) {
 // ------------------------------------- wire-status error propagation
 
 TEST(ClientWireStatusTest, RefreshAndSubscribeUnknownNames) {
-  Router router(MakePods(2), Replicated(2));
+  Router router(MakePods(2));
   const std::string path = MakeSketchFile("wire_status", 38);
   ASSERT_TRUE(router.AddSketch("s", path));
   LoopbackServer server(router);
@@ -472,27 +281,6 @@ TEST(ClientWireStatusTest, RefreshAndSubscribeUnknownNames) {
   const auto state = client.Refresh("s");
   ASSERT_TRUE(state.has_value()) << client.last_error();
   EXPECT_EQ(state->epoch, 0u);  // file-backed: nothing ever published
-}
-
-TEST(ClientWireStatusTest, HealthReportsEveryPod) {
-  Router router(MakePods(3), Replicated(2));
-  const std::string path = MakeSketchFile("wire_health", 39);
-  ASSERT_TRUE(router.AddSketch("s", path));
-  std::vector<double> sink;
-  ASSERT_EQ(router.EstimateMany("s", RandomQueries(4, 3), &sink),
-            RouteStatus::kOk);
-  LoopbackServer server(router);
-  SketchClient client(server.MakeTransport());
-  const auto health = client.Health();
-  ASSERT_TRUE(health.has_value()) << client.last_error();
-  ASSERT_EQ(health->size(), 3u);
-  std::uint64_t resident = 0;
-  for (const PodHealthInfo& pod : *health) {
-    EXPECT_EQ(pod.health, 0u);  // nothing has failed
-    EXPECT_EQ(pod.consecutive_failures, 0u);
-    resident += pod.resident_bytes;
-  }
-  EXPECT_GT(resident, 0u);  // the served sketch is resident somewhere
 }
 
 }  // namespace

@@ -58,15 +58,17 @@ TEST(ServeProtocolTest, HeaderRejectsVersionMismatch) {
 
 TEST(ServeProtocolTest, HeaderRejectsUnknownOpcode) {
   std::string frame = EncodedHeader(Opcode::kInfo, 0);
-  for (const unsigned char bad : {0x00, 0x08, 0x7f, 0x88, 0xfe}) {
+  // 0x06/0x86 were the HEALTH pair, retired with the in-process health
+  // machine: reserved, and rejected like any unknown opcode.
+  for (const unsigned char bad :
+       {0x00, 0x06, 0x08, 0x7f, 0x86, 0x88, 0xfe}) {
     frame[6] = static_cast<char>(bad);
     EXPECT_FALSE(DecodeFrameHeader(frame.data(), kFrameHeaderBytes)
                      .has_value())
         << int{bad};
   }
-  // 0x06/0x86 are the HEALTH pair (PR 7) and 0x07/0x87 the STATS pair
-  // (PR 8), no longer free.
-  for (const unsigned char taken : {0x06, 0x86, 0x07, 0x87}) {
+  // 0x07/0x87 are the STATS pair, no longer free.
+  for (const unsigned char taken : {0x07, 0x87}) {
     frame[6] = static_cast<char>(taken);
     EXPECT_TRUE(DecodeFrameHeader(frame.data(), kFrameHeaderBytes)
                     .has_value())
@@ -365,60 +367,6 @@ TEST(ServeProtocolTest, ErrorRoundTrip) {
       DecodeErrorMessage(wire.substr(kFrameHeaderBytes));
   ASSERT_TRUE(message.has_value());
   EXPECT_EQ(*message, "no such sketch");
-}
-
-TEST(ServeProtocolTest, HealthReplyRoundTrip) {
-  std::vector<PodHealthInfo> pods(3);
-  pods[0].health = 0;
-  pods[0].inflight = 2;
-  pods[0].resident_bytes = 1 << 20;
-  pods[1].health = 1;
-  pods[1].consecutive_failures = 2;
-  pods[2].health = 2;
-  pods[2].consecutive_failures = 7;
-  std::string body;
-  ASSERT_TRUE(EncodeHealthReply(pods, &body));
-  const auto back = DecodeHealthReply(body);
-  ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->size(), pods.size());
-  for (std::size_t i = 0; i < pods.size(); ++i) {
-    EXPECT_EQ((*back)[i].health, pods[i].health) << i;
-    EXPECT_EQ((*back)[i].consecutive_failures,
-              pods[i].consecutive_failures)
-        << i;
-    EXPECT_EQ((*back)[i].inflight, pods[i].inflight) << i;
-    EXPECT_EQ((*back)[i].resident_bytes, pods[i].resident_bytes) << i;
-  }
-  // An empty pod list is a valid (degenerate) reply.
-  std::string empty_body;
-  ASSERT_TRUE(EncodeHealthReply({}, &empty_body));
-  const auto empty = DecodeHealthReply(empty_body);
-  ASSERT_TRUE(empty.has_value());
-  EXPECT_TRUE(empty->empty());
-}
-
-TEST(ServeProtocolTest, HealthReplyRejectsMalformedBodies) {
-  std::vector<PodHealthInfo> pods(2);
-  pods[1].health = 2;
-  std::string body;
-  ASSERT_TRUE(EncodeHealthReply(pods, &body));
-  // Truncation at every prefix length, and one trailing byte.
-  for (std::size_t len = 0; len < body.size(); ++len) {
-    EXPECT_FALSE(DecodeHealthReply(body.substr(0, len)).has_value())
-        << len;
-  }
-  std::string trailing = body;
-  trailing.push_back('\0');
-  EXPECT_FALSE(DecodeHealthReply(trailing).has_value());
-  // A health byte outside {0,1,2} is rejected.
-  std::string bad = body;
-  bad[4] = 3;  // first pod's health byte, after the u32 count
-  EXPECT_FALSE(DecodeHealthReply(bad).has_value());
-  // A count over the cap is rejected outright.
-  std::string huge;
-  const std::uint32_t count = kMaxPodsPerReply + 1;
-  huge.append(reinterpret_cast<const char*>(&count), sizeof(count));
-  EXPECT_FALSE(DecodeHealthReply(huge).has_value());
 }
 
 StatsReply SampleStatsReply() {

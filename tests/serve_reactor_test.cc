@@ -5,7 +5,7 @@
 //     come back as exactly K replies, in request order, bit-identical
 //     (for deterministic opcodes) to the same frames served one at a
 //     time by the blocking ServeConnection loop -- every opcode
-//     including HEALTH and STATS, and mixed-opcode interleavings with a
+//     including STATS, and mixed-opcode interleavings with a
 //     refused (unknown-sketch) request in the middle.
 //   - A heavy first request never lets the cheap requests behind it
 //     overtake: replies are strictly ordered even when execution is not.
@@ -138,9 +138,9 @@ std::vector<std::vector<std::uint32_t>> SomeQueries(const Engine& engine,
   return queries;
 }
 
-/// One request frame plus how its reply is checked: HEALTH and STATS
-/// replies carry racy live values (inflight counts, wall-clock
-/// histograms), so they compare structurally; everything else must match
+/// One request frame plus how its reply is checked: STATS replies
+/// carry racy live values (wall-clock histograms), so they compare
+/// structurally; everything else must match
 /// the serial reference byte for byte.
 struct Step {
   std::string frame;        ///< complete encoded request frame
@@ -163,7 +163,7 @@ Step EstimateStep(const std::string& sketch,
 }
 
 /// Every-opcode pipeline: queries, info, stream refresh/subscribe,
-/// health, stats, and a refused unknown-sketch request in the middle.
+/// stats, and a refused unknown-sketch request in the middle.
 std::vector<Step> FullPipeline(const Engine& engine) {
   std::vector<Step> steps;
   const auto queries = SomeQueries(engine, 40, 77);
@@ -196,8 +196,6 @@ std::vector<Step> FullPipeline(const Engine& engine) {
     steps.push_back(
         Step{FrameOf(Opcode::kSubscribe, body), Opcode::kSubscribeReply});
   }
-  steps.push_back(
-      Step{FrameOf(Opcode::kHealth, ""), Opcode::kHealthReply, false});
   steps.push_back(
       Step{FrameOf(Opcode::kStats, ""), Opcode::kStatsReply, false});
   steps.push_back(EstimateStep("s", SomeQueries(engine, 7, 78)));
@@ -240,16 +238,6 @@ void ExpectReplies(Transport& transport, const std::vector<Step>& steps,
         << "reply " << i;
     if (steps[i].byte_exact) {
       EXPECT_EQ(reply.body, reference[i].body) << "reply " << i;
-    } else if (steps[i].reply == Opcode::kHealthReply) {
-      // Live load values race; the pod roster and health states do not.
-      const auto got = DecodeHealthReply(reply.body);
-      const auto want = DecodeHealthReply(reference[i].body);
-      ASSERT_TRUE(got.has_value());
-      ASSERT_TRUE(want.has_value());
-      ASSERT_EQ(got->size(), want->size());
-      for (std::size_t p = 0; p < got->size(); ++p) {
-        EXPECT_EQ((*got)[p].health, (*want)[p].health);
-      }
     } else if (steps[i].reply == Opcode::kStatsReply) {
       // Wall-clock histograms can never be byte-stable; the snapshot
       // must decode and carry the serving counters.
@@ -467,8 +455,6 @@ TEST(ServeReactorTest, ByteAtATimeClientGetsIdenticalReplies) {
   ASSERT_TRUE(EncodeInfoRequest("s", &info_body));
   steps.push_back(
       Step{FrameOf(Opcode::kInfo, info_body), Opcode::kInfoReply});
-  steps.push_back(
-      Step{FrameOf(Opcode::kHealth, ""), Opcode::kHealthReply, false});
   const std::vector<Frame> reference = SerialReplies(*rig.router, steps);
 
   ReactorServer reactor(*rig.router);

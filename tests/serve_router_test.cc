@@ -85,6 +85,47 @@ TEST(RouterTest, ShardAssignmentIsDeterministicAndCoversPods) {
   }
 }
 
+// Placement pinned across rewrites: ShardOf for fixed names at 1-5
+// pods, as recorded from the replicated router's HRW winner (the top
+// score of Mix64(fnv1a(name) ^ Mix64(pod + 1))). A changed hash, seed
+// or tie rule moves names between pods -- and so between the files a
+// multi-pod server already loaded -- so it must fail here, loudly.
+TEST(RouterTest, ShardOfMatchesPinnedPlacement) {
+  struct Pinned {
+    const char* name;
+    std::size_t shard[5];  // pod counts 1..5
+  };
+  const Pinned kPinned[] = {
+      {"", {0, 1, 1, 3, 3}},
+      {"a", {0, 1, 2, 2, 2}},
+      {"b", {0, 1, 1, 3, 3}},
+      {"hot", {0, 0, 0, 0, 0}},
+      {"cold0", {0, 1, 1, 3, 4}},
+      {"cold1", {0, 0, 0, 0, 0}},
+      {"s", {0, 1, 1, 3, 4}},
+      {"live", {0, 1, 1, 1, 1}},
+      {"sketch-0", {0, 1, 1, 1, 1}},
+      {"sketch-1", {0, 1, 1, 1, 1}},
+      {"sketch-17", {0, 0, 0, 0, 4}},
+      {"sketch-63", {0, 1, 1, 1, 4}},
+      {"retail/2024", {0, 1, 2, 2, 2}},
+      {"clicks.eu", {0, 1, 1, 1, 1}},
+      {"ifsketch", {0, 0, 0, 0, 0}},
+      {"a-much-longer-sketch-name-with-dashes", {0, 0, 0, 0, 0}},
+  };
+  for (std::size_t pods = 1; pods <= 5; ++pods) {
+    Router router(MakePods(pods));
+    // An independent router (another process, a restart) agrees.
+    Router twin(MakePods(pods));
+    for (const Pinned& pin : kPinned) {
+      const std::size_t shard = router.ShardOf(pin.name);
+      EXPECT_EQ(shard, pin.shard[pods - 1])
+          << "\"" << pin.name << "\" at " << pods << " pods";
+      EXPECT_EQ(twin.ShardOf(pin.name), shard) << pin.name;
+    }
+  }
+}
+
 TEST(RouterTest, AddSketchLandsOnOwningShardOnly) {
   Router router(MakePods(3));
   const std::string path = MakeSketchFile("router_shard", 21);
@@ -96,6 +137,33 @@ TEST(RouterTest, AddSketchLandsOnOwningShardOnly) {
   }
   EXPECT_NE(router.Acquire("hello"), nullptr);
   EXPECT_EQ(router.Acquire("nobody"), nullptr);
+}
+
+// A pod that catalogs nothing is harmless, and a routed request tells
+// an unknown name from a cataloged one that will not load.
+TEST(RouterTest, EmptyPodAndUnloadableNamesFailCleanly) {
+  Router router(MakePods(2));
+  const std::string path = MakeSketchFile("router_empty", 35);
+  std::string on_zero = "a";
+  // Find a name owned by pod 0, leaving pod 1 empty.
+  while (router.ShardOf(on_zero) != 0) on_zero += "a";
+  ASSERT_TRUE(router.AddSketch(on_zero, path));
+  EXPECT_TRUE(router.pods()[1]->Names().empty());
+
+  std::vector<double> answers;
+  EXPECT_EQ(router.EstimateMany("unknown", RandomQueries(3, 1), &answers),
+            RouteStatus::kUnknownSketch);
+  EXPECT_EQ(router.Acquire("unknown"), nullptr);
+  ASSERT_EQ(router.EstimateMany(on_zero, RandomQueries(3, 1), &answers),
+            RouteStatus::kOk);
+
+  ASSERT_TRUE(router.AddSketch("missing", path + ".does-not-exist"));
+  EXPECT_EQ(router.EstimateMany("missing", RandomQueries(3, 1), &answers),
+            RouteStatus::kLoadFailed);
+  std::vector<bool> bits;
+  EXPECT_EQ(router.AreFrequent("missing", RandomQueries(3, 1), &bits),
+            RouteStatus::kLoadFailed);
+  EXPECT_TRUE(router.Knows("missing"));
 }
 
 TEST(RouterTest, RoutesAndAnswersMatchDirectEngine) {
@@ -280,6 +348,8 @@ TEST(RouterTest, ShortRequestIsNotHeldBehindALongBatchOnTheSameSketch) {
   // Whether the short request lands inside the long batch's window
   // depends on scheduling, so a few rounds may miss; a router that
   // holds the short request until the long batch ends never overlaps.
+  const obs::Gauge* inflight = router.registry().GetGauge(
+      obs::LabeledName("serve_pod_inflight", "pod", "0"));
   bool overlapped = false;
   for (int round = 0; round < 20 && !overlapped; ++round) {
     const CoalesceStats before = router.coalesce_stats();
@@ -290,13 +360,13 @@ TEST(RouterTest, ShortRequestIsNotHeldBehindALongBatchOnTheSameSketch) {
       EXPECT_EQ(router.EstimateMany("s", slow, &answers), RouteStatus::kOk);
       slow_done = true;
     });
-    while (!slow_done && router.pod_health()[0].inflight == 0) {
+    while (!slow_done && inflight->Value() == 0) {
       std::this_thread::yield();
     }
     std::vector<double> answers;
     EXPECT_EQ(router.EstimateMany("s", quick, &answers), RouteStatus::kOk);
     EXPECT_TRUE(BitIdentical(answers, expected)) << round;
-    overlapped = router.pod_health()[0].inflight > 0;
+    overlapped = inflight->Value() > 0;
     slow_thread.join();
     // Overlapping requests are still counted exactly.
     const CoalesceStats after = router.coalesce_stats();

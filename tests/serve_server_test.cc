@@ -20,6 +20,7 @@
 
 #include "data/generators.h"
 #include "serve/client.h"
+#include "serve/reactor.h"
 #include "util/random.h"
 
 namespace ifsketch::serve {
@@ -460,14 +461,9 @@ TEST(ServeServerTest, SubscribeUnknownNameGetsError) {
 
 TEST(ServeServerTest, TcpRoundTripMatchesDirect) {
   Rig rig = MakeRig("SUBSAMPLE", "srv_tcp", 42);
-  TcpListener listener;
-  ASSERT_TRUE(listener.Listen(0));  // ephemeral port
-  std::thread server([&] {
-    auto transport = listener.Accept();
-    ASSERT_NE(transport, nullptr);
-    ServeConnection(*rig.router, *transport);
-  });
-  auto transport = TcpConnect(listener.port());
+  ReactorServer reactor(*rig.router);
+  ASSERT_TRUE(reactor.Listen(0));  // ephemeral port
+  auto transport = TcpConnect(reactor.port());
   ASSERT_NE(transport, nullptr);
   SketchClient client(std::move(transport));
   const auto queries = SupportedQueries(rig.direct, 43);
@@ -476,8 +472,6 @@ TEST(ServeServerTest, TcpRoundTripMatchesDirect) {
   std::vector<double> direct;
   rig.direct.estimate_many(AsItemsets(queries, rig.direct.d()), &direct);
   EXPECT_EQ(*served, direct);
-  client = SketchClient(std::unique_ptr<Transport>());  // hang up -> EOF
-  server.join();
 }
 
 }  // namespace

@@ -215,17 +215,6 @@ std::vector<std::string> ValidFrames() {
   EXPECT_TRUE(EncodeFrame(Opcode::kSubscribeReply, 0, body, &frame));
   frames.push_back(frame);
 
-  body.clear();
-  EXPECT_TRUE(EncodeHealthReply(
-      {PodHealthInfo{0, 0, 2, 4096}, PodHealthInfo{2, 5, 0, 0}}, &body));
-  frame.clear();
-  EXPECT_TRUE(EncodeFrame(Opcode::kHealthReply, 0, body, &frame));
-  frames.push_back(frame);
-
-  frame.clear();
-  EXPECT_TRUE(EncodeFrame(Opcode::kHealth, 0, "", &frame));
-  frames.push_back(frame);
-
   frame.clear();
   EXPECT_TRUE(EncodeFrame(Opcode::kStats, 0, "", &frame));
   frames.push_back(frame);
@@ -311,18 +300,6 @@ void DecodeLikeServer(const std::string& bytes) {
     case Opcode::kSubscribeReply:
       DecodeSnapshotReply(body);
       break;
-    case Opcode::kHealth:
-      // A health request carries no body; nothing to decode.
-      break;
-    case Opcode::kHealthReply: {
-      const auto pods = DecodeHealthReply(body);
-      if (pods.has_value()) {
-        std::string re_body;
-        ASSERT_TRUE(EncodeHealthReply(*pods, &re_body));
-        ASSERT_EQ(re_body, std::string(body));
-      }
-      break;
-    }
     case Opcode::kStats:
       // A stats request carries no body; nothing to decode.
       break;
