@@ -63,10 +63,10 @@ int Usage() {
                "tier)\n"
                "  --load MODE     sketch load path: auto (default; "
                "zero-copy mmap for\n"
-               "                  arena v2 files, stream-copy for v1), "
+               "                  arena v2 files, an owned copy for v1), "
                "mapped (require\n"
-               "                  zero-copy), or copied (force the "
-               "copying parser; both\n"
+               "                  zero-copy), or copied (force an owned "
+               "copy; both\n"
                "                  paths answer bit-identically -- `info` "
                "prints which one\n"
                "                  was used and the file format version)\n"
@@ -150,7 +150,7 @@ constexpr int kExitNotFound = 3;
 constexpr int kExitMalformed = 4;
 
 // How `query`/`info`/`mine` acquire sketch bytes (--load): the zero-copy
-// mapped path, the copying stream parser, or whichever fits the file.
+// mapped path, an owned copy, or whichever fits the file.
 Engine::LoadMode g_load_mode = Engine::LoadMode::kAuto;
 
 /// Reopens a sketch file through the registry, reporting each failure

@@ -67,66 +67,51 @@ std::optional<Engine> Engine::FromParts(sketch::SketchFile file,
 
 std::optional<Engine> Engine::Open(const std::string& path, LoadMode mode,
                                    std::string* error) {
-  if (mode != LoadMode::kCopied) {
-    // Map first and classify the version from the mapped bytes, so the
-    // bytes that decide mapped-vs-copied are the bytes that get viewed:
-    // an atomic rename landing mid-open cannot pair one file's version
-    // with another file's contents.
-    std::string map_error;
-    std::shared_ptr<const util::MappedFile> mapping =
-        util::MappedFile::Open(path, &map_error);
-    if (mapping == nullptr) {
-      if (mode == LoadMode::kMapped) {
-        SetError(error, map_error);
-        return std::nullopt;
-      }
-      // kAuto: fall through to the copying parser's error report.
-    } else {
-      const std::uint16_t version =
-          sketch::PeekSketchVersion(mapping->data(), mapping->size());
-      if (version == sketch::arena::kVersionArena) {
-        sketch::SketchError view_error;
-        auto view = sketch::ViewSketchImage(mapping->data(), mapping->size(),
-                                            &view_error);
-        if (!view.has_value()) {
-          SetError(error, FormatSketchError(path, view_error));
-          return std::nullopt;
-        }
-        auto engine =
-            FromParts(std::move(view->file), LoadPath::kMapped, error);
-        if (!engine.has_value()) {
-          if (error != nullptr) *error = path + ": " + *error;
-          return std::nullopt;
-        }
-        engine->mapping_ = std::move(mapping);
-        engine->columns_ = view->columns;
-        return engine;
-      }
-      if (mode == LoadMode::kMapped) {
-        SetError(error,
-                 version == sketch::arena::kVersionLegacy
-                     ? path + ": legacy v1 file has no arena sections; " +
-                           "mapped load needs v2 (re-save to upgrade)"
-                     : path + ": not a well-formed IFSK file");
-        return std::nullopt;
-      }
-    }
-    // v1 (or not IFSK at all, or unmappable): fall through to the
-    // copying parser, which reads either version and reports precise
-    // offsets (or the open error) for whatever is wrong.
-  }
-
-  sketch::SketchError read_error;
-  auto file = sketch::LoadSketchFile(path, &read_error);
-  if (!file.has_value()) {
-    SetError(error, FormatSketchError(path, read_error));
+  // One open and one parse for every mode: the bytes that decide the
+  // load path are the bytes that get viewed or copied, so an atomic
+  // rename landing mid-open cannot pair one file's version with another
+  // file's contents.
+  std::string open_error;
+  std::shared_ptr<const util::MappedFile> image =
+      util::MappedFile::Open(path, &open_error);
+  if (image == nullptr) {
+    SetError(error, mode == LoadMode::kMapped
+                        ? open_error
+                        : FormatSketchError(path, {"cannot open file", 0}));
     return std::nullopt;
   }
-  auto engine = FromParts(*std::move(file), LoadPath::kCopied, error);
+  sketch::SketchError parse_error;
+  auto view = sketch::ParseSketchImage(std::move(image), &parse_error);
+  if (!view.has_value()) {
+    SetError(error, FormatSketchError(path, parse_error));
+    return std::nullopt;
+  }
+  const bool legacy = view->file.version == sketch::arena::kVersionLegacy;
+  if (legacy && mode == LoadMode::kMapped) {
+    SetError(error, path + ": legacy v1 file has no arena sections; " +
+                        "mapped load needs v2 (re-save to upgrade)");
+    return std::nullopt;
+  }
+  const LoadPath load_path =
+      legacy || mode == LoadMode::kCopied ? LoadPath::kCopied
+                                          : LoadPath::kMapped;
+  if (load_path == LoadPath::kCopied) {
+    // The reference path: own the summary (a view's copy is deep), drop
+    // the image, and let the loaders re-derive columns from the summary
+    // instead of trusting the file's column section.
+    if (view->file.summary.is_view()) {
+      view->file.summary = util::BitVector(view->file.summary);
+    }
+    view->columns.reset();
+    view->mapping.reset();
+  }
+  auto engine = FromParts(std::move(view->file), load_path, error);
   if (!engine.has_value()) {
     if (error != nullptr) *error = path + ": " + *error;
     return std::nullopt;
   }
+  engine->mapping_ = std::move(view->mapping);
+  engine->columns_ = view->columns;
   return engine;
 }
 
@@ -254,7 +239,7 @@ std::string Engine::info() const {
                  : "mapped (zero-copy views over a buffered file image; "
                    "mmap unavailable)")
           : (load_path_ == LoadPath::kCopied
-                 ? "copied (stream-parsed into owned memory)"
+                 ? "copied (parsed, then copied into owned memory)"
                  : "built (never loaded)");
   char buffer[896];
   std::snprintf(

@@ -26,7 +26,8 @@
 // section are handed to the query views as borrowed, 64-byte-aligned
 // words straight out of the page cache, so opening is O(header + d)
 // instead of O(payload). Legacy v1 files, and callers forcing
-// LoadMode::kCopied, go through the stream parser and own their bits.
+// LoadMode::kCopied, go through the same single parse and then own a
+// copy of their bits (columns re-derived from the summary).
 // The two paths answer every query bit-identically; load_path() reports
 // which one an Engine took, resident_bytes() what it pins (mapped image
 // size vs owned summary bytes), and dropping the last reference to a
@@ -75,14 +76,14 @@ class Engine {
   enum class LoadMode {
     kAuto,    ///< mapped for arena (v2) files, copied for legacy v1
     kMapped,  ///< require the zero-copy path; fail on v1 files
-    kCopied,  ///< force the stream parser (works for both versions)
+    kCopied,  ///< force an owned copy (works for both versions)
   };
 
   /// Which path an Engine's bits actually came from.
   enum class LoadPath {
     kBuilt,   ///< Build/FromFile: in-memory, never loaded from disk
     kMapped,  ///< zero-copy views over a MappedFile
-    kCopied,  ///< stream-parsed into owned storage
+    kCopied,  ///< parsed, then copied into owned storage
   };
 
   /// Sketches `db` with the named algorithm. Returns nullopt when the
@@ -200,8 +201,8 @@ class Engine {
         algo_(std::move(algo)),
         views_(std::make_shared<ViewCache>()) {}
 
-  /// Resolve + payload-size validation shared by FromFile and both Open
-  /// paths; `error` (optional) receives the reason on nullopt.
+  /// Resolve + payload-size validation shared by FromFile and Open;
+  /// `error` (optional) receives the reason on nullopt.
   static std::optional<Engine> FromParts(sketch::SketchFile file,
                                          LoadPath load_path,
                                          std::string* error);

@@ -1,21 +1,22 @@
 #include "sketch/sketch_file.h"
 
-#include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "core/column_store.h"
-#include "sketch/arena_layout.h"
 #include "sketch/builtin_algorithms.h"
+#include "sketch/sketch_view.h"
 #include "util/crc32c.h"
 #include "util/durable.h"
+#include "util/mapped_file.h"
 
 namespace ifsketch::sketch {
 namespace {
 
-using arena_internal::RoundUpToAlign;
+using arena::RoundUpToAlign;
 
 template <typename T>
 void PutRaw(std::ostream& out, T value) {
@@ -40,210 +41,6 @@ void PutWords(std::ostream& out, const std::uint64_t* words,
   }
 }
 
-// Sequential reader that knows how far into the stream it is, so every
-// validation failure can name the byte offset of the offending field.
-class StreamCursor {
- public:
-  StreamCursor(std::istream& in, SketchError* error)
-      : in_(in), error_(error) {}
-
-  std::uint64_t offset() const { return offset_; }
-
-  /// CRC32C over every byte consumed so far. Snapshotted before the
-  /// trailer itself is read, so it covers exactly the trailer's domain.
-  std::uint32_t crc() const { return crc_; }
-
-  /// Records a failure at `at` (a field-start offset) and returns false.
-  bool Fail(std::uint64_t at, std::string message) {
-    if (error_ != nullptr) {
-      error_->message = std::move(message);
-      error_->offset = at;
-    }
-    return false;
-  }
-
-  /// Reads `len` raw bytes; on a short read fails with "`what` truncated"
-  /// at the field's start offset.
-  bool Read(void* dst, std::uint64_t len, const char* what) {
-    const std::uint64_t at = offset_;
-    in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(len));
-    if (static_cast<std::uint64_t>(in_.gcount()) != len) {
-      return Fail(at, std::string(what) + ": file truncated");
-    }
-    crc_ = util::Crc32cExtend(crc_, dst, static_cast<std::size_t>(len));
-    offset_ += len;
-    return true;
-  }
-
-  template <typename T>
-  bool Get(T& value, const char* what) {
-    return Read(&value, sizeof(T), what);
-  }
-
-  /// True when the stream has no bytes left to consume.
-  bool AtEnd() {
-    return in_.peek() == std::char_traits<char>::eof();
-  }
-
-  /// Consumes `len` padding bytes, requiring them to be zero.
-  bool SkipZeros(std::uint64_t len, const char* what) {
-    char buffer[arena::kSectionAlign];
-    while (len > 0) {
-      const std::uint64_t at = offset_;
-      const std::uint64_t chunk =
-          len < sizeof(buffer) ? len : sizeof(buffer);
-      if (!Read(buffer, chunk, what)) return false;
-      for (std::uint64_t i = 0; i < chunk; ++i) {
-        if (buffer[i] != 0) {
-          return Fail(at + i, std::string(what) + ": nonzero padding byte");
-        }
-      }
-      len -= chunk;
-    }
-    return true;
-  }
-
- private:
-  std::istream& in_;
-  SketchError* error_;
-  std::uint64_t offset_ = 0;
-  std::uint32_t crc_ = 0;
-};
-
-// The v1 payload: bits packed LSB-first into bytes, read in bounded
-// chunks so a corrupt bit count fails once the stream runs dry instead
-// of attempting one giant allocation.
-bool ReadLegacyPayload(StreamCursor& cursor, std::uint64_t bits,
-                       util::BitVector* summary) {
-  const std::uint64_t num_bytes = (bits + 7) / 8;
-  std::vector<char> bytes;
-  bytes.reserve(static_cast<std::size_t>(
-      num_bytes < (std::uint64_t{1} << 20) ? num_bytes : (1 << 20)));
-  constexpr std::uint64_t kChunk = 64 * 1024;
-  char chunk[kChunk];
-  for (std::uint64_t got = 0; got < num_bytes;) {
-    const std::uint64_t want =
-        num_bytes - got < kChunk ? num_bytes - got : kChunk;
-    if (!cursor.Read(chunk, want, "summary payload")) return false;
-    bytes.insert(bytes.end(), chunk, chunk + want);
-    got += want;
-  }
-  util::BitVector out(static_cast<std::size_t>(bits));
-  for (std::size_t i = 0; i < bits; ++i) {
-    if ((bytes[i / 8] >> (i % 8)) & 1) out.Set(i, true);
-  }
-  *summary = std::move(out);
-  return true;
-}
-
-// Reads and validates the v2 section table plus both section bodies.
-// The copying path only keeps the summary; the column section, when
-// present, is still consumed and structurally validated (tail bits and
-// padding words zero) so both load paths accept exactly the same files.
-bool ReadArenaBody(StreamCursor& cursor, std::uint64_t bits, std::size_t d,
-                   util::BitVector* summary) {
-  std::uint32_t section_count = 0;
-  std::uint64_t count_at = 0;
-  arena_internal::SectionEntry sections[arena::kMaxSections];
-  if (!arena_internal::ReadSectionEntries(cursor, &section_count, &count_at,
-                                          sections)) {
-    return false;
-  }
-  // All structural decisions live in the shared validator, so the stream
-  // parser and the image validator accept exactly the same tables.
-  arena_internal::ArenaLayout layout;
-  std::uint64_t fail_at = 0;
-  const char* fail_message = nullptr;
-  if (!arena_internal::ValidateSectionTable(sections, section_count,
-                                            count_at, cursor.offset(), bits,
-                                            d, &layout, &fail_at,
-                                            &fail_message)) {
-    return cursor.Fail(fail_at, fail_message);
-  }
-
-  // Summary section: exactly the BitVector word image of `bits` bits.
-  const arena_internal::SectionEntry& summary_section = layout.summary;
-  if (!cursor.SkipZeros(summary_section.offset - cursor.offset(),
-                        "pre-section padding")) {
-    return false;
-  }
-  std::vector<std::uint64_t> words;
-  words.reserve(static_cast<std::size_t>(
-      summary_section.words < (std::uint64_t{1} << 17)
-          ? summary_section.words
-          : (std::uint64_t{1} << 17)));
-  constexpr std::uint64_t kChunkWords = 8 * 1024;
-  std::uint64_t chunk[kChunkWords];
-  for (std::uint64_t got = 0; got < summary_section.words;) {
-    const std::uint64_t want = summary_section.words - got < kChunkWords
-                                   ? summary_section.words - got
-                                   : kChunkWords;
-    if (!cursor.Read(chunk, want * 8, "summary words")) return false;
-    words.insert(words.end(), chunk, chunk + want);
-    got += want;
-  }
-  if ((bits & 63) != 0 && !words.empty() &&
-      (words.back() >> (bits & 63)) != 0) {
-    return cursor.Fail(summary_section.offset + (summary_section.words - 1) * 8,
-                       "summary trailing bits not zero");
-  }
-  *summary = util::BitVector::AdoptWords(std::move(words),
-                                         static_cast<std::size_t>(bits));
-
-  // Optional column section: d columns of bits/d rows at an aligned
-  // stride. Consumed one column at a time (memory stays bounded by one
-  // column even for adversarial word counts).
-  if (layout.has_columns) {
-    const std::uint64_t rows = layout.rows;
-    const std::uint64_t col_words = layout.col_words;
-    const std::uint64_t stride = layout.stride;
-    if (!cursor.SkipZeros(layout.columns.offset - cursor.offset(),
-                          "pre-section padding")) {
-      return false;
-    }
-    std::vector<std::uint64_t> column(static_cast<std::size_t>(stride));
-    for (std::uint64_t j = 0; j < d; ++j) {
-      const std::uint64_t column_at = cursor.offset();
-      if (!cursor.Read(column.data(), stride * 8, "column words")) {
-        return false;
-      }
-      if ((rows & 63) != 0 && (column[static_cast<std::size_t>(col_words) - 1]
-                               >> (rows & 63)) != 0) {
-        return cursor.Fail(column_at + (col_words - 1) * 8,
-                           "column trailing bits not zero");
-      }
-      for (std::uint64_t w = col_words; w < stride; ++w) {
-        if (column[static_cast<std::size_t>(w)] != 0) {
-          return cursor.Fail(column_at + w * 8,
-                             "nonzero column padding word");
-        }
-      }
-    }
-  }
-  // Mirror the image validator's size rule, so the two parsers accept
-  // exactly the same inputs (the bidirectional fuzz assertion in
-  // sketch_view_test holds them to it): a v2 byte string ends exactly
-  // where its section table says, OR exactly arena::kTrailerBytes later
-  // with a valid integrity trailer over everything before it. v1 streams
-  // keep their legacy trailing-byte tolerance.
-  if (cursor.AtEnd()) return true;
-  const std::uint64_t trailer_at = cursor.offset();
-  const std::uint32_t body_crc = cursor.crc();  // before the trailer reads
-  unsigned char trailer[arena::kTrailerBytes];
-  if (!cursor.Read(trailer, arena::kTrailerBytes, "integrity trailer")) {
-    return false;
-  }
-  if (!arena_internal::ValidateTrailer(trailer, trailer_at, body_crc,
-                                       &fail_at, &fail_message)) {
-    return cursor.Fail(fail_at, fail_message);
-  }
-  if (!cursor.AtEnd()) {
-    return cursor.Fail(cursor.offset(),
-                       "trailing bytes after integrity trailer");
-  }
-  return true;
-}
-
 // The trailer-less serialization shared by both WriteSketch modes.
 bool WriteSketchBody(std::ostream& out, const SketchFile& file,
                      std::uint16_t version) {
@@ -254,7 +51,7 @@ bool WriteSketchBody(std::ostream& out, const SketchFile& file,
   if (version != arena::kVersionLegacy && version != arena::kVersionArena) {
     return false;
   }
-  out.write(arena_internal::kMagic, 4);
+  out.write(arena::kMagic, 4);
   PutRaw<std::uint16_t>(out, version);
   PutRaw<std::uint16_t>(out,
                         static_cast<std::uint16_t>(file.algorithm.size()));
@@ -337,6 +134,17 @@ bool WriteSketchBody(std::ostream& out, const SketchFile& file,
   return static_cast<bool>(out);
 }
 
+// The copying load: one parse of the image, then the summary deep-copied
+// out of it (a v1 summary is already owned), so the result outlives it.
+std::optional<SketchFile> CopySketchImage(
+    std::shared_ptr<const util::MappedFile> image, SketchError* error) {
+  auto view = ParseSketchImage(std::move(image), error);
+  if (!view.has_value()) return std::nullopt;
+  SketchFile file = std::move(view->file);
+  if (file.summary.is_view()) file.summary = util::BitVector(file.summary);
+  return file;
+}
+
 }  // namespace
 
 bool WriteSketch(std::ostream& out, const SketchFile& file,
@@ -362,28 +170,11 @@ bool WriteSketch(std::ostream& out, const SketchFile& file,
 }
 
 std::optional<SketchFile> ReadSketch(std::istream& in, SketchError* error) {
-  StreamCursor cursor(in, error);
-  std::uint16_t version = 0;
-  if (!arena_internal::ReadMagicAndVersion(cursor, &version)) {
-    return std::nullopt;
-  }
-  if (version != arena::kVersionLegacy && version != arena::kVersionArena) {
-    cursor.Fail(arena_internal::kVersionOffset, "unsupported format version");
-    return std::nullopt;
-  }
-
-  SketchFile file;
-  std::uint64_t bits = 0;
-  if (!arena_internal::ReadHeaderAfterVersion(cursor, &file, &bits)) {
-    return std::nullopt;
-  }
-  file.version = version;
-  const bool body_ok =
-      version == arena::kVersionLegacy
-          ? ReadLegacyPayload(cursor, bits, &file.summary)
-          : ReadArenaBody(cursor, bits, file.d, &file.summary);
-  if (!body_ok) return std::nullopt;
-  return file;
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return CopySketchImage(util::MappedFile::FromBytes(bytes.data(),
+                                                     bytes.size()),
+                         error);
 }
 
 bool SaveSketchFile(const std::string& path, const SketchFile& file,
@@ -411,15 +202,15 @@ bool SaveSketchFile(const std::string& path, const SketchFile& file,
 
 std::optional<SketchFile> LoadSketchFile(const std::string& path,
                                          SketchError* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  auto image = util::MappedFile::Open(path);
+  if (image == nullptr) {
     if (error != nullptr) {
       error->message = "cannot open file";
       error->offset = 0;
     }
     return std::nullopt;
   }
-  return ReadSketch(in, error);
+  return CopySketchImage(std::move(image), error);
 }
 
 std::unique_ptr<core::SketchAlgorithm> ResolveAlgorithm(

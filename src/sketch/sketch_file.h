@@ -46,15 +46,18 @@
 //     answers (the copying path re-transposes the summary instead).
 //     Golden files and the CI both-path diffs police producers.
 //
-// ReadSketch validates every header field (magic, version, enum bytes,
-// parameter ranges, section framing) and returns nullopt on anything
-// malformed -- pass a SketchError to learn what was wrong and the byte
-// offset of the first invalid field. The carried algorithm name is what
-// makes files self-describing: pass a loaded SketchFile to
-// ResolveAlgorithm() to get the producing SketchAlgorithm back from the
-// registry, or use Engine::Open (engine.h) which does the whole
-// load-resolve-query wiring in one call (memory-mapping v2 files for
-// zero-copy loads; ReadSketch here is the copying path).
+// ReadSketch and LoadSketchFile are the copying load: they read the
+// bytes into one in-memory image, parse it with the same parser the
+// mapped path uses (ParseSketchImage, sketch/sketch_view.h), and
+// deep-copy the summary out. That parser validates every header field
+// (magic, version, enum bytes, parameter ranges, section framing) and
+// returns nullopt on anything malformed -- pass a SketchError to learn
+// what was wrong and the byte offset of the first invalid field. The
+// carried algorithm name is what makes files self-describing: pass a
+// loaded SketchFile to ResolveAlgorithm() to get the producing
+// SketchAlgorithm back from the registry, or use Engine::Open
+// (engine.h), which does the whole load-resolve-query wiring in one call
+// and keeps v2 files mapped for zero-copy queries.
 #ifndef IFSKETCH_SKETCH_SKETCH_FILE_H_
 #define IFSKETCH_SKETCH_SKETCH_FILE_H_
 
@@ -69,10 +72,11 @@
 
 namespace ifsketch::sketch {
 
-/// Shared layout constants of the v2 arena framing (used by the writer
-/// here and the in-place validator in sketch_view.h).
+/// Shared layout constants of the file framing (used by the writer here
+/// and the parser in sketch_view.h).
 namespace arena {
 
+inline constexpr char kMagic[4] = {'I', 'F', 'S', 'K'};
 inline constexpr std::uint16_t kVersionLegacy = 1;
 inline constexpr std::uint16_t kVersionArena = 2;
 
@@ -80,6 +84,11 @@ inline constexpr std::uint16_t kVersionArena = 2;
 /// a page-aligned mapping makes every section pointer 64-byte aligned --
 /// cache-line and AVX-512-lane aligned for the word kernels.
 inline constexpr std::size_t kSectionAlign = 64;
+
+/// The first section boundary at or after `offset`.
+inline constexpr std::uint64_t RoundUpToAlign(std::uint64_t offset) {
+  return (offset + (kSectionAlign - 1)) / kSectionAlign * kSectionAlign;
+}
 
 enum SectionKind : std::uint32_t {
   kSummaryWords = 1,
@@ -99,7 +108,7 @@ inline constexpr std::size_t ColumnStrideWords(std::size_t rows) {
 /// Optional integrity trailer (PR 10), appended after the last section
 /// of a v2 file: magic "IFCT" (4 bytes), checksum kind u32, checksum
 /// value u64 -- 16 bytes covering every byte before the trailer
-/// (header + section table + sections + padding). Both parsers accept a
+/// (header + section table + sections + padding). The parser accepts a
 /// v2 file that ends exactly at the last section (trailer-less, the
 /// pre-PR-10 framing, readable forever) or exactly kTrailerBytes later
 /// with a valid trailer; anything else is rejected. v1 files never
@@ -135,7 +144,7 @@ struct SketchFile {
 };
 
 /// What was malformed and where: `offset` is the byte offset (from the
-/// start of the stream/image) of the first field that failed validation.
+/// start of the file) of the first field that failed validation.
 struct SketchError {
   std::string message;
   std::uint64_t offset = 0;
@@ -149,8 +158,9 @@ bool WriteSketch(std::ostream& out, const SketchFile& file,
                  std::uint16_t version = arena::kVersionArena,
                  SketchChecksum checksum = SketchChecksum::kNone);
 
-/// Parses a stream written by WriteSketch (either version); nullopt on
-/// malformed input, with the reason and offset in *error when provided.
+/// Reads the rest of `in` into an image and parses it (either version);
+/// nullopt on malformed input, with the reason and offset in *error when
+/// provided.
 std::optional<SketchFile> ReadSketch(std::istream& in,
                                      SketchError* error = nullptr);
 
@@ -163,6 +173,9 @@ bool SaveSketchFile(const std::string& path, const SketchFile& file,
                     std::uint16_t version = arena::kVersionArena,
                     SketchChecksum checksum = SketchChecksum::kNone,
                     SketchError* error = nullptr);
+
+/// Maps (or reads) `path` and parses it like ReadSketch; a file that
+/// cannot be opened fails with "cannot open file" at byte 0.
 std::optional<SketchFile> LoadSketchFile(const std::string& path,
                                          SketchError* error = nullptr);
 

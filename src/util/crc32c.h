@@ -23,7 +23,7 @@
 // Every tier returns bit-identical results; every call checksums every
 // byte it is given (nothing is cached). The running-state convention
 // composes: Crc32cExtend(Crc32cExtend(0, a), b) equals Crc32c(a
-// concatenated with b), so stream parsers can accumulate while reading
+// concatenated with b), so streaming readers can accumulate while reading
 // -- even across a tier switch between the two calls.
 
 #ifndef IFSKETCH_UTIL_CRC32C_H_

@@ -95,13 +95,18 @@ std::shared_ptr<const MappedFile> MappedFile::OpenBuffered(
     SetError(error, path + ": read error");
     return nullptr;
   }
+  return FromBytes(staging.data(), staging.size());
+}
+
+std::shared_ptr<const MappedFile> MappedFile::FromBytes(const void* data,
+                                                        std::size_t size) {
   auto file = std::shared_ptr<MappedFile>(new MappedFile());
-  if (!staging.empty()) {
+  if (size > 0) {
     file->buffer_ = static_cast<unsigned char*>(
-        ::operator new[](staging.size(), std::align_val_t{kAlignment}));
-    std::memcpy(file->buffer_, staging.data(), staging.size());
+        ::operator new[](size, std::align_val_t{kAlignment}));
+    std::memcpy(file->buffer_, data, size);
     file->data_ = file->buffer_;
-    file->size_ = staging.size();
+    file->size_ = size;
   }
   return file;
 }

@@ -9,7 +9,9 @@
 // unavailable (non-POSIX builds, or a filesystem that refuses to map) it
 // falls back to reading the whole file into one 64-byte-aligned heap
 // buffer -- callers see identical bytes and alignment either way, only
-// is_mapped() differs.
+// is_mapped() differs. FromBytes makes the same kind of owned aligned
+// image from bytes already in memory (a stream's contents, a fuzzer
+// input), so every parse runs over a MappedFile.
 //
 // Alignment guarantee: data() is at least 64-byte aligned on both paths
 // (mmap returns page-aligned addresses; the fallback allocates aligned
@@ -40,6 +42,12 @@ class MappedFile {
   /// fallback path, callable directly for tests and diagnostics.
   static std::shared_ptr<const MappedFile> OpenBuffered(
       const std::string& path, std::string* error = nullptr);
+
+  /// An owned, 64-byte-aligned copy of `size` bytes at `data`: the image
+  /// for bytes that did not come from a file (a stream, a fuzzer input,
+  /// a test's mutant). is_mapped() is false.
+  static std::shared_ptr<const MappedFile> FromBytes(const void* data,
+                                                     std::size_t size);
 
   ~MappedFile();
 

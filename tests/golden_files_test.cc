@@ -124,9 +124,10 @@ TEST_P(GoldenFilesTest, OpenReproducesRecordedAnswers) {
 // release_db.ifsk, framed with aligned word sections -- must decode to
 // the SAME recorded answers through BOTH load paths: the zero-copy
 // mapped path (views straight over the file image, columns adopted from
-// the column section) and the copying stream parser. This pins the v2
-// serialization and the mapped/copied equivalence to the checked-in
-// bytes; the v1 goldens above keep pinning the legacy path.
+// the column section) and the copying path (summary copied out of the
+// image, columns re-derived from it). This pins the v2 serialization
+// and the mapped/copied equivalence to the checked-in bytes; the v1
+// goldens above keep pinning the legacy path.
 TEST(GoldenFilesTest, ArenaGoldenBitIdenticalOnBothLoadPaths) {
   const std::string dir = IFSKETCH_TEST_DATA_DIR;
   const auto queries = golden::PinnedQueries();

@@ -1,8 +1,8 @@
 // The IFSK v2 integrity trailer and crash-safe persistence (PR 10):
-// both parsers -- the copying stream reader and the zero-copy mapped
-// validator -- must accept exactly the same checksummed inputs, detect
-// every single-byte corruption a checksummed file can suffer, and keep
-// reading trailer-less v2 and legacy v1 files forever. Plus the
+// both load entry points -- the copying ReadSketch and the zero-copy
+// ViewSketchImage -- must accept exactly the same checksummed inputs,
+// detect every single-byte corruption a checksummed file can suffer, and
+// keep reading trailer-less v2 and legacy v1 files forever. Plus the
 // WriteFileAtomic crash matrix: a save killed at any byte leaves the
 // old file or the new one, never a hybrid.
 
@@ -23,6 +23,7 @@
 #include "sketch/subsample.h"
 #include "util/crc32c.h"
 #include "util/durable.h"
+#include "util/mapped_file.h"
 #include "util/random.h"
 
 namespace ifsketch::sketch {
@@ -51,39 +52,20 @@ std::string Serialize(const SketchFile& file, std::uint16_t version,
   return out.str();
 }
 
-/// Parses `bytes` through the copying stream reader.
+/// Parses `bytes` through the copying reader.
 std::optional<SketchFile> StreamParse(const std::string& bytes,
                                       SketchError* error = nullptr) {
   std::istringstream in(bytes, std::ios::binary);
   return ReadSketch(in, error);
 }
 
-/// A zero-copy parse together with the 8-byte-aligned bytes it borrows,
-/// so the view lives exactly as long as its bytes. Move-only: a vector
-/// move keeps the buffer in place, a copy would leave the view behind.
-struct ParsedImage {
-  std::vector<std::uint64_t> aligned;
-  std::optional<SketchView> view;
-
-  ParsedImage() = default;
-  ParsedImage(ParsedImage&&) = default;
-  ParsedImage(const ParsedImage&) = delete;
-  ParsedImage& operator=(const ParsedImage&) = delete;
-
-  bool has_value() const { return view.has_value(); }
-  const SketchView* operator->() const { return &*view; }
-};
-
-/// Parses `bytes` through the zero-copy mapped validator (needs 8-byte
-/// alignment, like a real mapping).
-ParsedImage ImageParse(const std::string& bytes, SketchError* error = nullptr) {
-  ParsedImage parsed;
-  parsed.aligned.resize((bytes.size() + 7) / 8);
-  std::memcpy(parsed.aligned.data(), bytes.data(), bytes.size());
-  parsed.view = ViewSketchImage(
-      reinterpret_cast<const unsigned char*>(parsed.aligned.data()),
-      bytes.size(), error);
-  return parsed;
+/// Parses `bytes` through the zero-copy mapped validator, over an owned
+/// aligned image like a real mapping.
+std::optional<SketchView> ImageParse(const std::string& bytes,
+                                     SketchError* error = nullptr) {
+  return ViewSketchImage(util::MappedFile::FromBytes(bytes.data(),
+                                                     bytes.size()),
+                         error);
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -244,7 +226,7 @@ TEST(SketchChecksumTest, TruncatedOrOversizedTailIsRejected) {
   EXPECT_TRUE(ImageParse(sheared).has_value());
 }
 
-// Mutant fuzz over the checksummed bytes: the two parsers must agree on
+// Mutant fuzz over the checksummed bytes: both entry points must agree on
 // every mutant (the shared-acceptance invariant sketch_view_test
 // enforces for trailer-less files, extended to trailers) and never
 // crash. Content mutations must never be accepted at full length --

@@ -1,6 +1,7 @@
 // Deterministic byte-mutation fuzzing of the two binary decoders.
 //
-// Both ReadSketch (sketch/sketch_file.h) and the wire-protocol codec
+// Both the IFSK parser (sketch/sketch_view.h, driven through its fuzz
+// entry point FuzzSketchImage) and the wire-protocol codec
 // (serve/protocol.h) follow the validate-everything discipline: every
 // header field checked before any body read, declared lengths capped,
 // bodies consumed exactly. This suite regression-proofs that discipline
@@ -20,11 +21,15 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "fuzz_sketch_image.h"
 #include "serve/protocol.h"
 #include "sketch/sketch_file.h"
 #include "util/random.h"
@@ -86,18 +91,6 @@ sketch::SketchFile ValidSketchFile() {
   return file;
 }
 
-bool SameSketchFile(const sketch::SketchFile& a,
-                    const sketch::SketchFile& b) {
-  // Double fields compared bitwise-exact via ==: the codec moves raw
-  // 8-byte values, so a round trip must preserve every bit (NaN payloads
-  // cannot appear -- ValidSketchParams rejects non-finite eps/delta).
-  return a.algorithm == b.algorithm && a.params.k == b.params.k &&
-         a.params.eps == b.params.eps && a.params.delta == b.params.delta &&
-         a.params.scope == b.params.scope &&
-         a.params.answer == b.params.answer && a.n == b.n && a.d == b.d &&
-         a.summary == b.summary;
-}
-
 TEST(SketchFileFuzzTest, MutantsNeverCrashAndRoundTripOrReject) {
   const sketch::SketchFile valid = ValidSketchFile();
   std::ostringstream valid_out;
@@ -116,24 +109,39 @@ TEST(SketchFileFuzzTest, MutantsNeverCrashAndRoundTripOrReject) {
   std::size_t accepted = 0;
   constexpr std::size_t kMutants = 10000;
   for (std::size_t t = 0; t < kMutants; ++t) {
+    // Accepted mutants must re-serialize and re-parse to the same value
+    // (the entry point aborts otherwise); rejections are clean.
     const std::string mutant = Mutate(valid_bytes, rng);
-    std::istringstream in(mutant);
-    const auto parsed = sketch::ReadSketch(in);
-    if (!parsed.has_value()) continue;  // clean rejection
-    ++accepted;
-    // Accepted mutants must re-serialize and re-parse to the same value:
-    // whatever the decoder accepted, it accepted consistently.
-    std::ostringstream re_out;
-    ASSERT_TRUE(sketch::WriteSketch(re_out, *parsed)) << "mutant " << t;
-    std::istringstream re_in(re_out.str());
-    const auto reparsed = sketch::ReadSketch(re_in);
-    ASSERT_TRUE(reparsed.has_value()) << "mutant " << t;
-    ASSERT_TRUE(SameSketchFile(*parsed, *reparsed)) << "mutant " << t;
+    if (FuzzSketchImage(reinterpret_cast<const std::uint8_t*>(mutant.data()),
+                        mutant.size()) == 0) {
+      ++accepted;
+    }
   }
   // Some mutants survive (e.g. payload-bit flips are valid files); if
   // none did, the fuzzer is likely broken, not the decoder strict.
   EXPECT_GT(accepted, 0u);
   EXPECT_LT(accepted, kMutants);
+}
+
+// Every checked-in seed runs through the entry point: bad_* seeds are
+// rejected, all others accepted and round-tripped.
+TEST(SketchFileFuzzTest, SeedCorpusRoundTripsOrRejects) {
+  std::size_t seeds = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(IFSKETCH_FUZZ_CORPUS_DIR)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const std::string name = entry.path().filename().string();
+    const int want = name.rfind("bad_", 0) == 0 ? -1 : 0;
+    EXPECT_EQ(FuzzSketchImage(
+                  reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                  bytes.size()),
+              want)
+        << name;
+    ++seeds;
+  }
+  ASSERT_GT(seeds, 0u) << "empty seed corpus at " << IFSKETCH_FUZZ_CORPUS_DIR;
 }
 
 // ------------------------------------------------------- protocol frames

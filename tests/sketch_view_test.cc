@@ -1,22 +1,24 @@
 // The zero-copy mapped load path (util::MappedFile + sketch::SketchView
-// + Engine::Open's LoadMode) against the copying stream parser.
+// + Engine::Open's LoadMode) against the copying load.
 //
-// The contract under test is the PR's acceptance bar: for EVERY
-// registered algorithm, a sketch opened through the mapped path answers
-// estimate_many / are_frequent / mine bit-identically to the same file
-// opened through the copying path; legacy v1 files keep loading (copied);
-// and the in-place image validator rejects malformed arenas with the
+// The contract under test: for EVERY registered algorithm, a sketch
+// opened through the mapped path answers estimate_many / are_frequent /
+// mine bit-identically to the same file opened through the copying path,
+// which re-derives columns from the summary; legacy v1 files keep loading
+// (copied); and the in-place parser rejects malformed arenas with the
 // byte offset of the first bad field, never crashing on mutants.
 
 #include "sketch/sketch_view.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -24,6 +26,7 @@
 
 #include "data/generators.h"
 #include "engine.h"
+#include "util/mapped_file.h"
 #include "util/random.h"
 
 namespace ifsketch {
@@ -76,27 +79,11 @@ std::string SaveTemp(const Engine& engine, const std::string& stem) {
   return path;
 }
 
-/// The whole file as an aligned word buffer (so ViewSketchImage can run
-/// on mutated copies without a file per mutant).
-std::vector<std::uint64_t> ReadAligned(const std::string& path) {
+std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.is_open()) << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-  std::vector<std::uint64_t> words((bytes.size() + 7) / 8, 0);
-  std::memcpy(words.data(), bytes.data(), bytes.size());
-  words.resize(words.size() + 1);  // keep size() separate from capacity
-  words.back() = bytes.size();     // stash the byte size past the image
-  return words;
-}
-
-const unsigned char* ImageData(const std::vector<std::uint64_t>& image) {
-  return reinterpret_cast<const unsigned char*>(image.data());
-}
-
-std::size_t ImageSize(const std::vector<std::uint64_t>& image) {
-  return static_cast<std::size_t>(image.back());
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 // ---------------------------------------------------------------------
@@ -225,11 +212,32 @@ TEST(MappedLoadTest, AutoMapsArenaFilesAndCopiesLegacyFiles) {
   EXPECT_EQ(v1->file().summary, v2->file().summary);
   EXPECT_EQ(v1->file().summary, built->file().summary);
 
-  // Forcing kMapped on a v1 file fails with a version-shaped error.
+  // Forcing kMapped on a v1 file fails with the re-save hint.
   std::string error;
   EXPECT_FALSE(
       Engine::Open(v1_path, Engine::LoadMode::kMapped, &error).has_value());
-  EXPECT_NE(error.find("v1"), std::string::npos);
+  EXPECT_EQ(error, v1_path + ": legacy v1 file has no arena sections; "
+                             "mapped load needs v2 (re-save to upgrade)");
+
+  // v1 has no end marker, so bytes after its payload are tolerated: the
+  // file loads on both copying modes and answers like the clean one.
+  const std::string v1_tail_path = testing::TempDir() + "/auto_v1_tail.ifsk";
+  ASSERT_TRUE(sketch::SaveSketchFile(v1_tail_path, built->file(),
+                                     sketch::arena::kVersionLegacy));
+  std::ofstream(v1_tail_path, std::ios::binary | std::ios::app)
+      << "trailing bytes";
+  const auto queries = QueriesOfSize(3, 32);
+  std::vector<double> clean_answers;
+  v1->estimate_many(queries, &clean_answers);
+  for (const auto mode : {Engine::LoadMode::kAuto, Engine::LoadMode::kCopied}) {
+    auto tail = Engine::Open(v1_tail_path, mode, &error);
+    ASSERT_TRUE(tail.has_value()) << error;
+    EXPECT_EQ(tail->load_path(), Engine::LoadPath::kCopied);
+    EXPECT_EQ(tail->file().summary, v1->file().summary);
+    std::vector<double> answers;
+    tail->estimate_many(queries, &answers);
+    EXPECT_EQ(answers, clean_answers);
+  }
 
   // info() names the load path and format so operators can confirm
   // zero-copy is active.
@@ -239,9 +247,9 @@ TEST(MappedLoadTest, AutoMapsArenaFilesAndCopiesLegacyFiles) {
 }
 
 // Engine::Open(kAuto) classifies a file by its own mapped bytes: v2
-// images are viewed in place, everything else falls through to the
-// copying parser and its error report. Pins the load path and the exact
-// error text for every kind of file the classification can meet.
+// images are viewed in place, v1 images are copied, and everything else
+// fails with the parser's report. Pins the load path and the exact error
+// text for every kind of file the classification can meet.
 TEST(MappedLoadTest, AutoOpenLoadPathAndErrorTextPerFileKind) {
   const core::Database db = TestDb();
   util::Rng rng(19);
@@ -259,13 +267,8 @@ TEST(MappedLoadTest, AutoOpenLoadPathAndErrorTextPerFileKind) {
   ASSERT_TRUE(sketch::SaveSketchFile(v1_path, built->file(),
                                      sketch::arena::kVersionLegacy));
 
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  const std::string image = slurp(v2_path);
-  const std::string crc_image = slurp(crc_path);
+  const std::string image = Slurp(v2_path);
+  const std::string crc_image = Slurp(crc_path);
   ASSERT_GT(image.size(), 64u);
   const auto write = [&](const std::string& name, const std::string& bytes) {
     const std::string path = dir + name;
@@ -295,7 +298,7 @@ TEST(MappedLoadTest, AutoOpenLoadPathAndErrorTextPerFileKind) {
   }
 
   const std::pair<std::string, std::string> failures[] = {
-      {cut_path, cut_path + ": byte 63: section count: image truncated"},
+      {cut_path, cut_path + ": byte 63: section count: file truncated"},
       {torn_path,
        torn_path + ": byte 63: image size does not match section table"},
       {stub_path, stub_path + ": byte 0: magic: file truncated"},
@@ -309,6 +312,25 @@ TEST(MappedLoadTest, AutoOpenLoadPathAndErrorTextPerFileKind) {
     EXPECT_FALSE(
         Engine::Open(path, Engine::LoadMode::kAuto, &error).has_value());
     EXPECT_EQ(error, expected);
+  }
+
+  // One flipped summary byte in a checksummed file is caught by the CRC
+  // on every load mode, at the trailer's checksum field.
+  const auto crc_view = sketch::ViewSketchFile(crc_path);
+  ASSERT_TRUE(crc_view.has_value());
+  const std::size_t summary_at = static_cast<std::size_t>(
+      reinterpret_cast<const unsigned char*>(crc_view->file.summary.data()) -
+      crc_view->mapping->data());
+  std::string flipped = crc_image;
+  flipped[summary_at] = static_cast<char>(flipped[summary_at] ^ 0x01);
+  const std::string flip_path = write("kind_v2_crc_flip.ifsk", flipped);
+  for (const auto mode : {Engine::LoadMode::kAuto, Engine::LoadMode::kMapped,
+                          Engine::LoadMode::kCopied}) {
+    std::string error;
+    EXPECT_FALSE(Engine::Open(flip_path, mode, &error).has_value());
+    EXPECT_EQ(error, flip_path + ": byte " +
+                         std::to_string(crc_image.size() - 8) +
+                         ": file checksum mismatch");
   }
 }
 
@@ -371,26 +393,30 @@ class ArenaImageTest : public testing::Test {
     auto built = Engine::Build(db, "SUBSAMPLE", TestParams(), rng);
     ASSERT_TRUE(built.has_value());
     path_ = SaveTemp(*built, "arena_image");
-    image_ = ReadAligned(path_);
-    ASSERT_TRUE(
-        sketch::ViewSketchImage(ImageData(image_), ImageSize(image_))
-            .has_value());
+    bytes_ = Slurp(path_);
+    ASSERT_TRUE(sketch::ViewSketchImage(Image()).has_value());
+  }
+
+  /// An owned aligned image of the first `size` bytes (all by default).
+  std::shared_ptr<const util::MappedFile> Image(
+      std::size_t size = std::string::npos) const {
+    return util::MappedFile::FromBytes(bytes_.data(),
+                                       std::min(size, bytes_.size()));
   }
 
   unsigned char* MutableBytes() {
-    return reinterpret_cast<unsigned char*>(image_.data());
+    return reinterpret_cast<unsigned char*>(bytes_.data());
   }
 
   std::string path_;
-  std::vector<std::uint64_t> image_;
+  std::string bytes_;
 };
 
 TEST_F(ArenaImageTest, RejectsTruncation) {
   sketch::SketchError error;
   for (const std::size_t keep : {0u, 3u, 5u, 40u, 64u, 128u}) {
-    ASSERT_LT(keep, ImageSize(image_));
-    EXPECT_FALSE(sketch::ViewSketchImage(ImageData(image_), keep, &error)
-                     .has_value())
+    ASSERT_LT(keep, bytes_.size());
+    EXPECT_FALSE(sketch::ViewSketchImage(Image(keep), &error).has_value())
         << keep;
   }
 }
@@ -398,9 +424,7 @@ TEST_F(ArenaImageTest, RejectsTruncation) {
 TEST_F(ArenaImageTest, RejectsLegacyVersionWithDistinctError) {
   MutableBytes()[4] = 1;  // version u16 low byte
   sketch::SketchError error;
-  EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
+  EXPECT_FALSE(sketch::ViewSketchImage(Image(), &error).has_value());
   EXPECT_EQ(error.offset, 4u);
   EXPECT_NE(error.message.find("v1"), std::string::npos);
 }
@@ -408,40 +432,32 @@ TEST_F(ArenaImageTest, RejectsLegacyVersionWithDistinctError) {
 TEST_F(ArenaImageTest, RejectsUnknownVersion) {
   MutableBytes()[4] = 9;
   sketch::SketchError error;
-  EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
+  EXPECT_FALSE(sketch::ViewSketchImage(Image(), &error).has_value());
   EXPECT_EQ(error.offset, 4u);
 }
 
 TEST_F(ArenaImageTest, RejectsTrailingGarbage) {
-  image_[image_.size() - 1] += 8;  // grow the recorded byte size
-  // (the extra byte reads from the stashed-size word -- in bounds)
+  bytes_ += std::string(8, 'x');
   sketch::SketchError error;
-  EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
+  EXPECT_FALSE(sketch::ViewSketchImage(Image(), &error).has_value());
   EXPECT_NE(error.message.find("section table"), std::string::npos);
 }
 
 // Regression: a bit count close enough to 2^64 that (bits+63)/64 wraps
 // to a tiny word count must be rejected at the bit-count field -- not
 // sail through the shape checks with a zero-word summary and crash the
-// word-image code (both parsers share the guard in arena_layout.h).
+// word-image code (every load path shares the guard in the parser).
 TEST_F(ArenaImageTest, RejectsWordCountWrappingBitCount) {
   const std::size_t name_len = 9;  // "SUBSAMPLE"
   const std::size_t bits_at = 8 + name_len + 4 + 8 + 8 + 1 + 1 + 8 + 8;
   const std::uint64_t wrap_bits = 0xFFFFFFFFFFFFFFF7ull;  // 2^64 - 9
   std::memcpy(MutableBytes() + bits_at, &wrap_bits, sizeof(wrap_bits));
   sketch::SketchError error;
-  EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
+  EXPECT_FALSE(sketch::ViewSketchImage(Image(), &error).has_value());
   EXPECT_EQ(error.offset, bits_at);
   EXPECT_NE(error.message.find("bit count"), std::string::npos);
 
-  std::istringstream in(std::string(
-      reinterpret_cast<const char*>(ImageData(image_)), ImageSize(image_)));
+  std::istringstream in(bytes_);
   EXPECT_FALSE(sketch::ReadSketch(in).has_value());
 }
 
@@ -452,26 +468,24 @@ TEST_F(ArenaImageTest, ReportsOffsetsForHeaderFieldErrors) {
   const std::size_t scope_at = 8 + name_len + 4 + 8 + 8;
   MutableBytes()[scope_at] = 7;
   sketch::SketchError error;
-  EXPECT_FALSE(
-      sketch::ViewSketchImage(ImageData(image_), ImageSize(image_), &error)
-          .has_value());
+  EXPECT_FALSE(sketch::ViewSketchImage(Image(), &error).has_value());
   EXPECT_EQ(error.offset, scope_at);
   EXPECT_NE(error.message.find("scope"), std::string::npos);
 }
 
-// The image validator and the stream parser must accept EXACTLY the
+// The mapped view and the copying ReadSketch must accept EXACTLY the
 // same v2 byte strings (a mutant both see as v2 is accepted by both,
 // with the same summary, or rejected by both) -- and neither may crash
-// on any mutant (the mapped-path cousin of SketchFileFuzzTest). This
-// bidirectional assertion is what keeps the two independently-coded
-// validators from drifting apart.
+// on any mutant (the mapped-path cousin of SketchFileFuzzTest). Both
+// run the one parser; this pins that their version policy is the only
+// difference between them.
 TEST_F(ArenaImageTest, MutantImagesNeverCrashAndAgreeWithStreamParser) {
   util::Rng rng(20260733);
-  const std::size_t size = ImageSize(image_);
+  const std::size_t size = bytes_.size();
   std::size_t accepted = 0;
   constexpr std::size_t kMutants = 4000;
   for (std::size_t t = 0; t < kMutants; ++t) {
-    std::vector<std::uint64_t> mutant = image_;
+    std::string mutant = bytes_;
     auto* bytes = reinterpret_cast<unsigned char*>(mutant.data());
     const std::size_t mutations = 1 + rng.UniformInt(4);
     for (std::size_t m = 0; m < mutations; ++m) {
@@ -485,16 +499,20 @@ TEST_F(ArenaImageTest, MutantImagesNeverCrashAndAgreeWithStreamParser) {
     }
     const std::size_t mutant_size =
         rng.UniformInt(8) == 0 ? rng.UniformInt(size + 1) : size;
-    const auto view = sketch::ViewSketchImage(bytes, mutant_size);
-    std::istringstream in(
-        std::string(reinterpret_cast<const char*>(bytes), mutant_size));
+    const auto view = sketch::ViewSketchImage(
+        util::MappedFile::FromBytes(bytes, mutant_size));
+    std::istringstream in(mutant.substr(0, mutant_size));
     const auto streamed = sketch::ReadSketch(in);
     if (!view.has_value()) {
-      // A mutant that still reads as a v2 image must be rejected by the
-      // stream parser too (a flipped version byte downgrades it to v1,
-      // where the stream parser legitimately applies the legacy rules).
-      if (sketch::PeekSketchVersion(bytes, mutant_size) ==
-          sketch::arena::kVersionArena) {
+      // A mutant that still reads as a v2 image (magic, then version u16
+      // = 2 at bytes 4-5) must be rejected by ReadSketch too (a flipped
+      // version byte downgrades it to v1, where ReadSketch legitimately
+      // applies the legacy rules).
+      const bool reads_as_v2 =
+          mutant_size >= 6 &&
+          std::memcmp(bytes, sketch::arena::kMagic, 4) == 0 &&
+          bytes[4] == sketch::arena::kVersionArena && bytes[5] == 0;
+      if (reads_as_v2) {
         ASSERT_FALSE(streamed.has_value()) << "mutant " << t;
       }
       continue;

@@ -1,5 +1,6 @@
-// util::MappedFile: identical bytes and alignment on the mmap and
-// read-whole-file paths, RAII release, and error reporting.
+// util::MappedFile: identical bytes and alignment on the mmap,
+// read-whole-file and in-memory-copy paths, RAII release, and error
+// reporting.
 
 #include "util/mapped_file.h"
 
@@ -36,19 +37,24 @@ TEST(MappedFileTest, MappedAndBufferedSeeIdenticalBytes) {
   const auto buffered = MappedFile::OpenBuffered(path);
   ASSERT_NE(buffered, nullptr);
   EXPECT_FALSE(buffered->is_mapped());
+  const auto copied = MappedFile::FromBytes(contents.data(), contents.size());
+  EXPECT_FALSE(copied->is_mapped());
 
   ASSERT_EQ(mapped->size(), contents.size());
   ASSERT_EQ(buffered->size(), contents.size());
+  ASSERT_EQ(copied->size(), contents.size());
   EXPECT_EQ(0, std::memcmp(mapped->data(), contents.data(), contents.size()));
   EXPECT_EQ(0,
             std::memcmp(buffered->data(), contents.data(), contents.size()));
+  EXPECT_EQ(0, std::memcmp(copied->data(), contents.data(), contents.size()));
 }
 
 TEST(MappedFileTest, DataIsCacheLineAlignedOnBothPaths) {
-  const std::string path =
-      WriteTempFile("mapped_file_align.bin", std::string(512, 'x'));
+  const std::string contents(512, 'x');
+  const std::string path = WriteTempFile("mapped_file_align.bin", contents);
   for (const auto& file :
-       {MappedFile::Open(path), MappedFile::OpenBuffered(path)}) {
+       {MappedFile::Open(path), MappedFile::OpenBuffered(path),
+        MappedFile::FromBytes(contents.data() + 1, contents.size() - 1)}) {
     ASSERT_NE(file, nullptr);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(file->data()) % 64, 0u);
   }
@@ -57,7 +63,8 @@ TEST(MappedFileTest, DataIsCacheLineAlignedOnBothPaths) {
 TEST(MappedFileTest, EmptyFileYieldsEmptyImage) {
   const std::string path = WriteTempFile("mapped_file_empty.bin", "");
   for (const auto& file :
-       {MappedFile::Open(path), MappedFile::OpenBuffered(path)}) {
+       {MappedFile::Open(path), MappedFile::OpenBuffered(path),
+        MappedFile::FromBytes(nullptr, 0)}) {
     ASSERT_NE(file, nullptr);
     EXPECT_EQ(file->size(), 0u);
   }

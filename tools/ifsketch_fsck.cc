@@ -3,14 +3,13 @@
 //   ifsketch_fsck PATH [PATH ...]
 //
 // Each PATH is either an IFSK sketch file or a WAL directory (see
-// src/ingest/wal.h). Files are pushed through BOTH parsers -- the
-// copying stream parser and, for arena v2, the zero-copy mapped
-// validator -- so fsck accepts exactly what every load path accepts,
-// including the optional CRC32C integrity trailer. Directories get the
-// full WAL walk: checkpoint magic/CRC/decodability (the named algorithm
-// must exist and accept the saved builder state), segment chaining, and
-// every record frame; a torn tail in the last segment is recoverable by
-// design and only noted.
+// src/ingest/wal.h). Files go through the one parser every load path
+// uses (sketch/sketch_view.h), so fsck accepts exactly what a load
+// accepts, including the optional CRC32C integrity trailer. Directories
+// get the full WAL walk: checkpoint magic/CRC/decodability (the named
+// algorithm must exist and accept the saved builder state), segment
+// chaining, and every record frame; a torn tail in the last segment is
+// recoverable by design and only noted.
 //
 // Output: one "ok"/note line per healthy artifact to stdout, one
 // "path: byte N: reason" line per failure to stderr. Exit 0 when every
@@ -25,7 +24,6 @@
 
 #include "ingest/wal.h"
 #include "sketch/sketch_file.h"
-#include "sketch/sketch_view.h"
 
 namespace {
 
@@ -53,8 +51,7 @@ bool HasTrailer(const std::string& path) {
          std::memcmp(magic, sketch::arena::kTrailerMagic, 4) == 0;
 }
 
-/// Both-parser verification of one sketch file. Returns true when every
-/// applicable load path accepts it.
+/// Verification of one sketch file. Returns true when it loads.
 bool VerifySketchFile(const std::string& path) {
   sketch::SketchError error;
   const auto file = sketch::LoadSketchFile(path, &error);
@@ -68,15 +65,6 @@ bool VerifySketchFile(const std::string& path) {
     std::fprintf(stderr, "%s: byte 0: unknown producing algorithm \"%s\"\n",
                  path.c_str(), file->algorithm.c_str());
     return false;
-  }
-  if (file->version == sketch::arena::kVersionArena) {
-    sketch::SketchError view_error;
-    if (!sketch::ViewSketchFile(path, &view_error).has_value()) {
-      std::fprintf(stderr, "%s: byte %llu: (mapped path) %s\n", path.c_str(),
-                   static_cast<unsigned long long>(view_error.offset),
-                   view_error.message.c_str());
-      return false;
-    }
   }
   std::printf("%s: ok (v%u, %s, %s, %zu-bit summary)\n", path.c_str(),
               file->version, file->algorithm.c_str(),
