@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "util/bitio.h"
 #include "util/check.h"
 
 namespace ifsketch::core {
@@ -22,6 +23,19 @@ Database Database::FromRows(std::vector<util::BitVector> rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     IFSKETCH_CHECK_EQ(rows[i].size(), db.d_);
     std::copy_n(rows[i].data(), db.stride_, db.RowWords(i));
+  }
+  return db;
+}
+
+Database Database::FromRowMajorBits(const util::BitVector& bits,
+                                    std::size_t d) {
+  IFSKETCH_CHECK_GT(d, 0u);
+  IFSKETCH_CHECK_EQ(bits.size() % d, 0u);
+  Database db(bits.size() / d, d);
+  util::BitReader r(bits);
+  for (std::size_t i = 0; i < db.n_; ++i) {
+    const util::BitVector row = r.ReadBits(d);
+    std::copy_n(row.data(), db.stride_, db.RowWords(i));
   }
   return db;
 }

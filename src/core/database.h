@@ -32,6 +32,12 @@ class Database {
   /// Takes ownership of `rows`; all rows must share one width.
   static Database FromRows(std::vector<util::BitVector> rows);
 
+  /// Decodes a row-major bit string (bits.size() / d rows of d bits --
+  /// the payload layout of RELEASE-DB and the sample summaries), the row
+  /// counterpart of ColumnStore::FromRowMajorBits. Preconditions: d > 0,
+  /// bits.size() divisible by d.
+  static Database FromRowMajorBits(const util::BitVector& bits, std::size_t d);
+
   std::size_t num_rows() const { return n_; }
   std::size_t num_columns() const { return d_; }
 

@@ -79,11 +79,31 @@ void ThresholdIndicator::AreFrequent(const std::vector<Itemset>& ts,
   }
 }
 
+std::unique_ptr<FrequencyIndicator> DefaultIndicator(
+    std::unique_ptr<FrequencyEstimator> estimator, const SketchParams& params) {
+  return std::make_unique<ThresholdIndicator>(std::move(estimator),
+                                              0.75 * params.eps);
+}
+
+void SampleFrequencyEstimator::EstimateMany(
+    const std::vector<Itemset>& ts, std::vector<double>* answers) const {
+  if (columns_.num_rows() == 0) {
+    answers->assign(ts.size(), 0.0);
+    return;
+  }
+  std::vector<std::size_t> counts;
+  columns_.SupportCounts(ts, &counts);
+  answers->resize(ts.size());
+  const double n = static_cast<double>(columns_.num_rows());
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    (*answers)[i] = static_cast<double>(counts[i]) / n;
+  }
+}
+
 std::unique_ptr<FrequencyIndicator> SketchAlgorithm::LoadIndicator(
     const util::BitVector& summary, const SketchParams& params, std::size_t d,
     std::size_t n) const {
-  return std::make_unique<ThresholdIndicator>(
-      LoadEstimator(summary, params, d, n), 0.75 * params.eps);
+  return DefaultIndicator(LoadEstimator(summary, params, d, n), params);
 }
 
 }  // namespace ifsketch::core

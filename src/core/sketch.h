@@ -31,6 +31,12 @@
 // once at load time and answering each query as a popcount of ANDed
 // columns).
 //
+// One view class per query rule: SampleFrequencyEstimator (below) is the
+// sample-fraction Q of RELEASE-DB, SUBSAMPLE and its variants, on both
+// the copying and the mapped load path; sketch::HtEstimator is the
+// Horvitz-Thompson Q of IMPORTANCE-SAMPLE and STREAM-IMPORTANCE; and
+// ThresholdIndicator turns any estimator into the default indicator.
+//
 // Threading contract: loaded views must be immutable -- every query
 // method is const and safe to call concurrently, with no lazily-built
 // mutable caches. The default EstimateMany/AreFrequent (and the
@@ -135,6 +141,34 @@ class ThresholdIndicator : public FrequencyIndicator {
   double threshold_;
 };
 
+/// The default indicator rule: `estimator` thresholded at 0.75 * eps.
+std::unique_ptr<FrequencyIndicator> DefaultIndicator(
+    std::unique_ptr<FrequencyEstimator> estimator, const SketchParams& params);
+
+/// The paper's query Q for a uniform row sample: the fraction of sample
+/// rows that contain T. RELEASE-DB answers by the same rule, with the
+/// whole database as its sample. Support counts are exact integers on
+/// the column store, so scalar and batched answers are bit-identical;
+/// the columns are built (or borrowed) before construction, so the view
+/// is immutable and safe for concurrent queries. Batched queries fan out
+/// inside ColumnStore::SupportCounts when the batch is worth it.
+class SampleFrequencyEstimator : public FrequencyEstimator {
+ public:
+  explicit SampleFrequencyEstimator(ColumnStore columns)
+      : columns_(std::move(columns)) {}
+
+  double EstimateFrequency(const Itemset& t) const override {
+    return columns_.Frequency(t);
+  }
+
+  /// SupportCounts / n, and 0.0 for every query of an empty sample.
+  void EstimateMany(const std::vector<Itemset>& ts,
+                    std::vector<double>* answers) const override;
+
+ private:
+  ColumnStore columns_;
+};
+
 /// A sketching algorithm: the pair (S, Q) of §1.3.
 ///
 /// Build() is the randomized S; LoadEstimator()/LoadIndicator() are the
@@ -159,7 +193,8 @@ class SketchAlgorithm {
       const util::BitVector& summary, const SketchParams& params,
       std::size_t d, std::size_t n) const = 0;
 
-  /// Deserializes an indicator view (by default thresholds the estimator).
+  /// Deserializes an indicator view (by default, DefaultIndicator over
+  /// LoadEstimator).
   virtual std::unique_ptr<FrequencyIndicator> LoadIndicator(
       const util::BitVector& summary, const SketchParams& params,
       std::size_t d, std::size_t n) const;
@@ -170,43 +205,20 @@ class SketchAlgorithm {
   virtual std::size_t PredictedSizeBits(std::size_t n, std::size_t d,
                                         const SketchParams& params) const = 0;
 
-  /// True when Build()'s payload is one row-major sample of width d --
-  /// summary.size()/d rows of d bits, nothing else -- so that transposing
-  /// the summary at width d yields exactly the columns the loaders query.
-  /// The sketch-file layer uses this to frame a 64-byte-aligned
+  /// True when Build()'s payload is exactly the sample rows -- one
+  /// row-major sample of width d, summary.size()/d rows of d bits and
+  /// nothing else -- and Q is the fraction of those rows that contain T
+  /// (SampleFrequencyEstimator), under DefaultIndicator for the
+  /// indicator. The sketch-file layer then frames a 64-byte-aligned
   /// column-major arena section next to the payload, and the mapped load
-  /// path to hand those columns to LoadEstimatorFromColumns without
-  /// copying. Algorithms whose payload carries anything besides the raw
-  /// sample rows (header fields, concatenated inner summaries, answer
-  /// tables) must leave this false.
+  /// path answers from those borrowed columns with that rule instead of
+  /// calling the loaders. Algorithms whose payload carries anything
+  /// besides the raw sample rows (header fields, concatenated inner
+  /// summaries, answer tables), or whose Q is any other rule, must leave
+  /// this false.
   virtual bool HasRowMajorPayload(const SketchParams& params) const {
     (void)params;
     return false;
-  }
-
-  /// LoadEstimator's zero-copy sibling: builds the estimator view from
-  /// an already-transposed column store over the summary (borrowed from
-  /// an mmap'd arena section, or owned). Called only when
-  /// HasRowMajorPayload(params) is true; `columns` holds exactly the
-  /// transpose of `summary` at width d, and answers must be
-  /// bit-identical to LoadEstimator(summary, ...). The default ignores
-  /// the columns and defers to LoadEstimator, which is always correct --
-  /// override alongside HasRowMajorPayload to actually skip the
-  /// transpose.
-  virtual std::unique_ptr<FrequencyEstimator> LoadEstimatorFromColumns(
-      ColumnStore columns, const util::BitVector& summary,
-      const SketchParams& params, std::size_t d, std::size_t n) const {
-    (void)columns;
-    return LoadEstimator(summary, params, d, n);
-  }
-
-  /// LoadIndicator's zero-copy sibling, same contract as
-  /// LoadEstimatorFromColumns.
-  virtual std::unique_ptr<FrequencyIndicator> LoadIndicatorFromColumns(
-      ColumnStore columns, const util::BitVector& summary,
-      const SketchParams& params, std::size_t d, std::size_t n) const {
-    (void)columns;
-    return LoadIndicator(summary, params, d, n);
   }
 
   /// Whether the query views can answer itemsets of cardinality `size`.

@@ -147,11 +147,18 @@ std::size_t Engine::resident_bytes() const {
   return (file_.summary.size() + 7) / 8;
 }
 
-core::ColumnStore Engine::BorrowedColumns() const {
-  IFSKETCH_CHECK(columns_.has_value());
-  return core::ColumnStore::FromColumnWords(columns_->words, columns_->rows,
-                                            columns_->d,
-                                            columns_->stride_words);
+std::unique_ptr<core::FrequencyEstimator> Engine::MappedSampleEstimator()
+    const {
+  if (!columns_.has_value() || !algo_->HasRowMajorPayload(file_.params)) {
+    return nullptr;
+  }
+  // Zero-copy: the payload is exactly the sample rows, so Q is the
+  // fraction of the mapped column section's rows that contain T. The
+  // columns are borrowed in O(d), with no decode or copy.
+  return std::make_unique<core::SampleFrequencyEstimator>(
+      core::ColumnStore::FromColumnWords(columns_->words, columns_->rows,
+                                         columns_->d,
+                                         columns_->stride_words));
 }
 
 const core::FrequencyEstimator& Engine::estimator() const {
@@ -159,27 +166,23 @@ const core::FrequencyEstimator& Engine::estimator() const {
     // The estimator view only exists for estimator-flavored summaries
     // (e.g. RELEASE-ANSWERS stores single decision bits otherwise).
     IFSKETCH_CHECK(file_.params.answer == core::Answer::kEstimator);
-    if (columns_.has_value() && algo_->HasRowMajorPayload(file_.params)) {
-      // Zero-copy: adopt the mapped column section, no decode pass.
-      views_->estimator = algo_->LoadEstimatorFromColumns(
-          BorrowedColumns(), file_.summary, file_.params, file_.d, file_.n);
-    } else {
-      views_->estimator = algo_->LoadEstimator(file_.summary, file_.params,
-                                               file_.d, file_.n);
-    }
+    auto mapped = MappedSampleEstimator();
+    views_->estimator =
+        mapped != nullptr ? std::move(mapped)
+                          : algo_->LoadEstimator(file_.summary, file_.params,
+                                                 file_.d, file_.n);
   });
   return *views_->estimator;
 }
 
 const core::FrequencyIndicator& Engine::indicator() const {
   std::call_once(views_->indicator_once, [this] {
-    if (columns_.has_value() && algo_->HasRowMajorPayload(file_.params)) {
-      views_->indicator = algo_->LoadIndicatorFromColumns(
-          BorrowedColumns(), file_.summary, file_.params, file_.d, file_.n);
-    } else {
-      views_->indicator = algo_->LoadIndicator(file_.summary, file_.params,
-                                               file_.d, file_.n);
-    }
+    auto mapped = MappedSampleEstimator();
+    views_->indicator =
+        mapped != nullptr
+            ? core::DefaultIndicator(std::move(mapped), file_.params)
+            : algo_->LoadIndicator(file_.summary, file_.params, file_.d,
+                                   file_.n);
   });
   return *views_->indicator;
 }

@@ -210,9 +210,10 @@ class Engine {
   const core::FrequencyEstimator& estimator() const;
   const core::FrequencyIndicator& indicator() const;
 
-  /// The borrowed column store over the mapped column section; only
-  /// callable when columns_ is set.
-  core::ColumnStore BorrowedColumns() const;
+  /// SampleFrequencyEstimator over the borrowed mapped column section,
+  /// or nullptr unless this engine has one and its algorithm's payload
+  /// is exactly the sample rows (SketchAlgorithm::HasRowMajorPayload).
+  std::unique_ptr<core::FrequencyEstimator> MappedSampleEstimator() const;
 
   sketch::SketchFile file_;
   std::shared_ptr<const core::SketchAlgorithm> algo_;

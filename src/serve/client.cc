@@ -283,9 +283,7 @@ std::optional<std::vector<bool>> SketchClient::AreFrequent(
 std::optional<SketchInfo> SketchClient::Info(const std::string& sketch) {
   std::string body;
   if (!EncodeInfoRequest(sketch, &body)) {
-    last_error_ = "sketch name exceeds protocol limits";
-    last_status_ = Status::kOk;  // local failure, not a server verdict
-    last_failure_ = FailureKind::kLocal;
+    FailLocal("sketch name exceeds protocol limits");
     return std::nullopt;
   }
   const auto reply = RoundTrip(Opcode::kInfo, body, Opcode::kInfoReply);
@@ -301,9 +299,7 @@ std::optional<SketchInfo> SketchClient::Info(const std::string& sketch) {
 std::optional<SnapshotInfo> SketchClient::Refresh(const std::string& sketch) {
   std::string body;
   if (!EncodeRefreshRequest(sketch, &body)) {
-    last_error_ = "sketch name exceeds protocol limits";
-    last_status_ = Status::kOk;  // local failure, not a server verdict
-    last_failure_ = FailureKind::kLocal;
+    FailLocal("sketch name exceeds protocol limits");
     return std::nullopt;
   }
   const auto reply =
@@ -326,9 +322,7 @@ std::optional<SnapshotInfo> SketchClient::Subscribe(const std::string& sketch,
   request.timeout_ms = timeout_ms;
   std::string body;
   if (!EncodeSubscribeRequest(request, &body)) {
-    last_error_ = "subscribe request exceeds protocol limits";
-    last_status_ = Status::kOk;  // local failure, not a server verdict
-    last_failure_ = FailureKind::kLocal;
+    FailLocal("subscribe request exceeds protocol limits");
     return std::nullopt;
   }
   const auto reply =

@@ -470,7 +470,7 @@ struct ReactorServer::Impl {
         }
       }
       if (malformed) {
-        // Same contract as the blocking loop: answer what was already
+        // Same contract as ServeConnection: answer what was already
         // read (the slots ahead in the deque), then one kError, then
         // close. Bytes after the malformed frame are never interpreted.
         FailConnRead(loop, conn, "malformed frame");
@@ -495,7 +495,7 @@ struct ReactorServer::Impl {
 
   void OnReadEof(Loop& loop, const std::shared_ptr<Conn>& conn) {
     if (conn->decoder.mid_frame()) {
-      // Died mid-frame: the blocking path answers this with kError
+      // Died mid-frame: ServeConnection answers this with kError
       // before hanging up; match it (best effort, the peer may only
       // half-closed and still be reading).
       FailConnRead(loop, conn, "malformed frame");

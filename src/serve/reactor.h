@@ -1,10 +1,11 @@
 // Event-loop serving: an epoll reactor front end over the Router.
 //
-// The blocking path (serve/server.h) spends one thread and one stack per
-// connection, which tops out at a few thousand clients. The reactor
-// serves the same protocol with a fixed thread budget: N event-loop
-// threads multiplex all connections through epoll, so ten thousand idle
-// connections cost ten thousand fds and nothing else. Layout:
+// The reactor is the one TCP front end. It serves the protocol with a
+// fixed thread budget instead of a thread and a stack per connection:
+// N event-loop threads multiplex all connections through epoll, so ten
+// thousand idle connections cost ten thousand fds and nothing else.
+// ServeConnection (serve/server.h), the blocking loop over a Transport,
+// stays as the in-process loopback harness. Layout:
 //
 //   - Loop threads (default: hardware concurrency, `--loop-threads` in
 //     the binary). Each owns an epoll instance, an eventfd for
@@ -62,7 +63,7 @@
 // above. Listen also sets the process-identity gauge
 // ifsketch_build_info{build_type=,compiler=,kernel_tier=} to 1, so a
 // STATS dump says which build and kernel tier produced its numbers.
-// Request metrics and traces are identical to the blocking path because
+// Request metrics and traces are identical to ServeConnection's because
 // both run the same DispatchRequest.
 #ifndef IFSKETCH_SERVE_REACTOR_H_
 #define IFSKETCH_SERVE_REACTOR_H_

@@ -220,10 +220,10 @@ ReplyFrame HandleSubscribe(Router& router, std::string_view body) {
     return ErrorReply(Status::kBadRequest, "undecodable subscribe request");
   }
   SnapshotState state;
-  // The wait blocks only the thread carrying this request (a connection
-  // thread on the blocking path, a dispatch worker on the reactor path);
-  // publishes arrive from the ingest thread and wake it through the
-  // pod's condition variable.
+  // The wait blocks only the thread carrying this request (a reactor
+  // dispatch worker, or ServeConnection's caller on the loopback
+  // harness); publishes arrive from the ingest thread and wake it
+  // through the pod's condition variable.
   if (!router.WaitForEpoch(request->sketch, request->min_epoch,
                            std::chrono::milliseconds(request->timeout_ms),
                            &state)) {

@@ -14,10 +14,45 @@
 #define IFSKETCH_SKETCH_IMPORTANCE_SAMPLE_H_
 
 #include <functional>
+#include <vector>
 
 #include "core/sketch.h"
 
 namespace ifsketch::sketch {
+
+/// The Horvitz-Thompson query over a weighted row sample:
+/// f_T = (1/s) sum_i I{T in r_i} * c_i, clamped to [0, 1], where row i's
+/// coefficient c_i is 1 / (n * q_i) for its draw probability q_i, up to
+/// the loader's own arithmetic (IMPORTANCE-SAMPLE: mean_w / w(r_i);
+/// STREAM-IMPORTANCE: W_n / (n * w_slot)).
+///
+/// The sample arrives as a column store and the coefficients are
+/// evaluated by the loader, both before construction, so the view is
+/// immutable and safe to query concurrently. Every path -- scalar,
+/// batched, parallel chunks -- adds the hit rows' coefficients in
+/// ascending row order, so the floating-point sum (and therefore the
+/// answer) is bit-identical everywhere. Batched queries fan out across
+/// the default thread pool only when their work warrants it
+/// (core::FanOutGrain; small batches run on the calling thread) and
+/// share prefix accumulators between adjacent sibling queries.
+class HtEstimator : public core::FrequencyEstimator {
+ public:
+  /// `coefficients[i]` is c_i for column-store row i.
+  HtEstimator(core::ColumnStore columns, std::vector<double> coefficients);
+
+  double EstimateFrequency(const core::Itemset& t) const override;
+
+  void EstimateMany(const std::vector<core::Itemset>& ts,
+                    std::vector<double>* answers) const override;
+
+ private:
+  // Serial kernel over queries [first, last): chunk-local scratch only.
+  void EstimateRange(const std::vector<core::Itemset>& ts, std::size_t first,
+                     std::size_t last, double* answers) const;
+
+  core::ColumnStore columns_;
+  std::vector<double> coefficients_;  // c_i, ascending row order
+};
 
 /// Weighted-with-replacement row sampling, Horvitz-Thompson queries.
 class ImportanceSampleSketch : public core::SketchAlgorithm {

@@ -31,25 +31,8 @@ class ReleaseDbSketch : public core::SketchAlgorithm {
     return true;
   }
 
-  std::unique_ptr<core::FrequencyEstimator> LoadEstimatorFromColumns(
-      core::ColumnStore columns, const util::BitVector& summary,
-      const core::SketchParams& params, std::size_t d,
-      std::size_t n) const override;
-
-  /// Mirrors the base LoadIndicator default (threshold at 0.75*eps) over
-  /// the zero-copy estimator, so mapped indicator queries skip the
-  /// transpose too and stay bit-identical to the copying path.
-  std::unique_ptr<core::FrequencyIndicator> LoadIndicatorFromColumns(
-      core::ColumnStore columns, const util::BitVector& summary,
-      const core::SketchParams& params, std::size_t d,
-      std::size_t n) const override;
-
   std::size_t PredictedSizeBits(std::size_t n, std::size_t d,
                                 const core::SketchParams& params) const override;
-
-  /// Recovers the database itself (unique to this sketch; used by tests).
-  static core::Database Decode(const util::BitVector& summary, std::size_t d,
-                               std::size_t n);
 };
 
 }  // namespace ifsketch::sketch

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "sketch/importance_sample.h"
 #include "util/bitio.h"
 #include "util/check.h"
 
@@ -158,31 +159,6 @@ class StratifiedEstimator : public core::FrequencyEstimator {
   double total_ = 0.0;
 };
 
-/// Horvitz-Thompson over the decoded weighted sample: f = (1/s)
-/// sum_slots I{T in row_i} * W / (n * w_i), coefficients evaluated once
-/// at load time, accumulated in ascending slot order, clamped to [0,1].
-class StreamHtEstimator : public core::FrequencyEstimator {
- public:
-  StreamHtEstimator(std::vector<util::BitVector> rows,
-                    std::vector<double> coefficients)
-      : rows_(std::move(rows)), coefficients_(std::move(coefficients)) {}
-
-  double EstimateFrequency(const core::Itemset& t) const override {
-    const std::size_t s = rows_.size();
-    if (s == 0) return 0.0;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < s; ++i) {
-      if (t.ContainedIn(rows_[i])) acc += coefficients_[i];
-    }
-    const double est = acc / static_cast<double>(s);
-    return est < 0.0 ? 0.0 : (est > 1.0 ? 1.0 : est);
-  }
-
- private:
-  std::vector<util::BitVector> rows_;
-  std::vector<double> coefficients_;
-};
-
 }  // namespace
 
 util::BitVector ReplayBuild(const StreamingSketch& algorithm,
@@ -335,6 +311,7 @@ util::BitVector StreamImportanceSketch::Build(const core::Database& db,
 std::unique_ptr<core::FrequencyEstimator> StreamImportanceSketch::LoadEstimator(
     const util::BitVector& summary, const core::SketchParams& params,
     std::size_t d, std::size_t n) const {
+  // Horvitz-Thompson with slot i's coefficient W_n / (n * w_i).
   const std::size_t s = SampleCount(params, d);
   IFSKETCH_CHECK_EQ(summary.size(), 64 + s * (64 + d));
   util::BitReader r(summary);
@@ -350,8 +327,9 @@ std::unique_ptr<core::FrequencyEstimator> StreamImportanceSketch::LoadEstimator(
         denominator > 0.0 ? total_weight / (denominator * weight) : 0.0);
     rows.push_back(r.ReadBits(d));
   }
-  return std::make_unique<StreamHtEstimator>(std::move(rows),
-                                             std::move(coefficients));
+  return std::make_unique<HtEstimator>(
+      core::ColumnStore(core::Database::FromRows(std::move(rows))),
+      std::move(coefficients));
 }
 
 std::size_t StreamImportanceSketch::PredictedSizeBits(

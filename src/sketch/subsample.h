@@ -27,27 +27,13 @@ class SubsampleSketch : public core::SketchAlgorithm {
       const util::BitVector& summary, const core::SketchParams& params,
       std::size_t d, std::size_t n) const override;
 
-  std::unique_ptr<core::FrequencyIndicator> LoadIndicator(
-      const util::BitVector& summary, const core::SketchParams& params,
-      std::size_t d, std::size_t n) const override;
-
   /// The summary is exactly s rows of d bits, so the arena writer frames
   /// a column section and the mapped load path adopts it with no
-  /// transpose (answers bit-identical to the decoding loaders above).
+  /// transpose (answers bit-identical to LoadEstimator's).
   bool HasRowMajorPayload(const core::SketchParams& params) const override {
     (void)params;
     return true;
   }
-
-  std::unique_ptr<core::FrequencyEstimator> LoadEstimatorFromColumns(
-      core::ColumnStore columns, const util::BitVector& summary,
-      const core::SketchParams& params, std::size_t d,
-      std::size_t n) const override;
-
-  std::unique_ptr<core::FrequencyIndicator> LoadIndicatorFromColumns(
-      core::ColumnStore columns, const util::BitVector& summary,
-      const core::SketchParams& params, std::size_t d,
-      std::size_t n) const override;
 
   std::size_t PredictedSizeBits(std::size_t n, std::size_t d,
                                 const core::SketchParams& params) const override;
@@ -55,11 +41,6 @@ class SubsampleSketch : public core::SketchAlgorithm {
   /// The Lemma 9 sample count for the given guarantee.
   static std::size_t SampleCount(const core::SketchParams& params,
                                  std::size_t d);
-
-  /// Recovers the sampled rows as a database (the sample is itself a
-  /// database; mining tools run on it directly).
-  static core::Database DecodeSample(const util::BitVector& summary,
-                                     std::size_t d);
 };
 
 /// SUBSAMPLE drawing rows WITHOUT replacement (when s <= n; falls back to

@@ -6,13 +6,16 @@
 
 #include "core/database.h"
 #include "core/marginal.h"
+#include "data/generators.h"
 #include "ecc/gf256.h"
 #include "ecc/reed_solomon.h"
 #include "lowerbound/shattered_set.h"
+#include "sketch/builtin_algorithms.h"
 #include "sketch/release_answers.h"
 #include "util/bitio.h"
 #include "util/bitvector.h"
 #include "util/combinatorics.h"
+#include "util/random.h"
 
 namespace ifsketch {
 namespace {
@@ -58,6 +61,24 @@ TEST(EdgeDeathTest, DatabaseRowWidthMismatch) {
 TEST(EdgeDeathTest, FrequencyUniverseMismatch) {
   const core::Database db(3, 4);
   EXPECT_DEATH(db.Frequency(core::Itemset(5, {0})), "");
+}
+
+TEST(EdgeDeathTest, HorvitzThompsonQueryUniverseMismatch) {
+  // The scalar Horvitz-Thompson query checks the universe, as the
+  // batched path (ColumnStore::BatchWords) does.
+  util::Rng rng(5);
+  const core::Database db = data::UniformRandom(50, 6, 0.5, rng);
+  core::SketchParams params;
+  params.eps = 0.3;
+  params.delta = 0.2;
+  params.scope = core::Scope::kForEach;
+  for (const char* name : {"IMPORTANCE-SAMPLE", "STREAM-IMPORTANCE"}) {
+    const auto algo = sketch::BuiltinRegistry().Create(name);
+    const auto estimator =
+        algo->LoadEstimator(algo->Build(db, params, rng), params, 6, 50);
+    EXPECT_DEATH(estimator->EstimateFrequency(core::Itemset(7, {0})), "")
+        << name;
+  }
 }
 
 TEST(EdgeDeathTest, RankSubsetRejectsUnsorted) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -180,6 +181,49 @@ TEST(ClientRetryTest, RetriesTransportFailureOnFreshConnection) {
     EXPECT_EQ(client.last_attempts(), 2);
     EXPECT_EQ(client.last_failure(), FailureKind::kNone);
     EXPECT_EQ(connections.load(), 2);
+  }
+}
+
+TEST(ClientRetryTest, LocalRefusalResetsAttemptCount) {
+  // A request the client refuses before sending reports zero attempts,
+  // never the count left over from the call before it.
+  Router router(MakePods(1));
+  const std::string path = MakeSketchFile("retry_local", 39);
+  ASSERT_TRUE(router.AddSketch("s", path));
+  LoopbackServer server(router);
+  RetryPolicy policy;
+  policy.initial_backoff = std::chrono::milliseconds(1);
+  const std::string oversize(70000, 'x');  // beyond the 64 KiB name limit
+  const std::vector<std::function<bool(SketchClient&)>> refusals = {
+      [&](SketchClient& c) { return c.Info(oversize).has_value(); },
+      [&](SketchClient& c) { return c.Refresh(oversize).has_value(); },
+      [&](SketchClient& c) { return c.Subscribe(oversize, 0, 50).has_value(); },
+      [&](SketchClient& c) {
+        return c.Subscribe("s", 0, kMaxSubscribeTimeoutMs + 1).has_value();
+      },
+  };
+  for (std::size_t i = 0; i < refusals.size(); ++i) {
+    SCOPED_TRACE(i);
+    std::atomic<int> connections{0};
+    SketchClient client(
+        [&]() -> std::unique_ptr<Transport> {
+          auto inner = server.MakeTransport();
+          if (connections++ == 0) {
+            FaultPlan plan;
+            plan.fail_read = 1.0;
+            return std::make_unique<FaultyTransport>(std::move(inner),
+                                                     plan);
+          }
+          return inner;
+        },
+        policy);
+    ASSERT_TRUE(client.EstimateMany("s", {{1, 2}}).has_value())
+        << client.last_error();
+    ASSERT_EQ(client.last_attempts(), 2);
+    EXPECT_FALSE(refusals[i](client));
+    EXPECT_EQ(client.last_failure(), FailureKind::kLocal);
+    EXPECT_EQ(client.last_attempts(), 0);
+    EXPECT_EQ(connections.load(), 2);  // nothing was sent or redialed
   }
 }
 

@@ -106,6 +106,8 @@ TEST_P(BatchedEquivalenceTest, AreFrequentMatchesScalarBitForBit) {
 INSTANTIATE_TEST_SUITE_P(AllOverridingEstimators, BatchedEquivalenceTest,
                          testing::Values("SUBSAMPLE", "SUBSAMPLE-WOR",
                                          "RELEASE-DB", "IMPORTANCE-SAMPLE",
+                                         "STREAM-SUBSAMPLE",
+                                         "STREAM-IMPORTANCE",
                                          "MEDIAN-BOOST(SUBSAMPLE)"),
                          [](const auto& info) {
                            std::string safe = info.param;

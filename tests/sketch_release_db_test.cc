@@ -34,7 +34,7 @@ TEST_F(ReleaseDbTest, SummarySizeIsExactlyNd) {
 TEST_F(ReleaseDbTest, DecodeRecoversDatabaseExactly) {
   const auto summary = algo_.Build(db_, params_, build_rng_);
   const core::Database decoded =
-      ReleaseDbSketch::Decode(summary, db_.num_columns(), db_.num_rows());
+      core::Database::FromRowMajorBits(summary, db_.num_columns());
   EXPECT_EQ(decoded, db_);
 }
 

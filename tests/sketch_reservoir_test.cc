@@ -49,7 +49,7 @@ TEST(ReservoirTest, SingleRowStreamAlwaysSampled) {
   row.Set(2, true);
   builder.Observe(row);
   const core::Database sample =
-      SubsampleSketch::DecodeSample(builder.Finish(), 6);
+      core::Database::FromRowMajorBits(builder.Finish(), 6);
   for (std::size_t i = 0; i < sample.num_rows(); ++i) {
     EXPECT_EQ(sample.Row(i), row);
   }
@@ -75,7 +75,7 @@ TEST(ReservoirTest, SlotsAreUniformOverStream) {
       for (const auto& row : distinct) builder.Observe(row);
     }
     const core::Database sample =
-        SubsampleSketch::DecodeSample(builder.Finish(), 4);
+        core::Database::FromRowMajorBits(builder.Finish(), 4);
     for (std::size_t i = 0; i < sample.num_rows(); ++i) {
       for (int r = 0; r < 4; ++r) {
         if (sample.Row(i) == distinct[r]) {

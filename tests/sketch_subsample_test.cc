@@ -68,7 +68,7 @@ TEST(SubsampleTest, DecodeSampleShape) {
   const auto p = Params(core::Scope::kForEach, core::Answer::kIndicator,
                         0.2, 0.1, 2);
   const auto summary = algo.Build(db, p, rng);
-  const core::Database sample = SubsampleSketch::DecodeSample(summary, 10);
+  const core::Database sample = core::Database::FromRowMajorBits(summary, 10);
   EXPECT_EQ(sample.num_columns(), 10u);
   EXPECT_EQ(sample.num_rows(), SubsampleSketch::SampleCount(p, 10));
 }
@@ -85,7 +85,7 @@ TEST(SubsampleTest, SampledRowsComeFromDatabase) {
   const auto p = Params(core::Scope::kForEach, core::Answer::kEstimator,
                         0.2, 0.1, 2);
   const core::Database sample =
-      SubsampleSketch::DecodeSample(algo.Build(db, p, rng), 8);
+      core::Database::FromRowMajorBits(algo.Build(db, p, rng), 8);
   for (std::size_t i = 0; i < sample.num_rows(); ++i) {
     EXPECT_EQ(sample.Row(i), db.Row(0));
   }

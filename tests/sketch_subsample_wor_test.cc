@@ -32,7 +32,7 @@ TEST(SubsampleWorTest, SummaryFormatCompatible) {
   const auto summary = wor.Build(db, p, rng);
   EXPECT_EQ(summary.size(), wor.PredictedSizeBits(5000, 12, p));
   // Loaders are inherited: the summary decodes as a plain sample.
-  const core::Database sample = SubsampleSketch::DecodeSample(summary, 12);
+  const core::Database sample = core::Database::FromRowMajorBits(summary, 12);
   EXPECT_EQ(sample.num_rows(), SubsampleSketch::SampleCount(p, 12));
 }
 
@@ -50,7 +50,7 @@ TEST(SubsampleWorTest, SampledRowsAreDistinctRows) {
   const auto p = Params(0.1, core::Scope::kForEach,
                         core::Answer::kEstimator);
   const core::Database sample =
-      SubsampleSketch::DecodeSample(wor.Build(db, p, rng), 13);
+      core::Database::FromRowMajorBits(wor.Build(db, p, rng), 13);
   std::set<std::string> seen;
   for (std::size_t i = 0; i < sample.num_rows(); ++i) {
     EXPECT_TRUE(seen.insert(sample.Row(i).ToString()).second) << i;

@@ -26,6 +26,7 @@
 
 #include "data/generators.h"
 #include "engine.h"
+#include "util/crc32c.h"
 #include "util/mapped_file.h"
 #include "util/random.h"
 
@@ -86,8 +87,56 @@ std::string Slurp(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// CRC32C over the raw bytes of estimate_many's answers (estimator
+/// flavor only; the estimator view does not exist otherwise), extended
+/// over the are_frequent answers one byte each. Pins every answer bit of
+/// one engine, so a refactor of the query views cannot drift unnoticed.
+std::uint32_t AnswerDigest(const Engine& engine,
+                           const std::vector<core::Itemset>& queries) {
+  std::uint32_t crc = 0;
+  if (engine.params().answer == core::Answer::kEstimator) {
+    std::vector<double> estimates;
+    engine.estimate_many(queries, &estimates);
+    crc = util::Crc32cExtend(crc, estimates.data(),
+                             estimates.size() * sizeof(double));
+  }
+  std::vector<bool> bits;
+  engine.are_frequent(queries, &bits);
+  const std::vector<std::uint8_t> bytes(bits.begin(), bits.end());
+  return util::Crc32cExtend(crc, bytes.data(), bytes.size());
+}
+
 // ---------------------------------------------------------------------
 // Registry-driven equivalence: mapped == copied for every algorithm.
+
+// AnswerDigest of QueriesOfSize(3, 64) on TestDb() sketched with
+// TestParams() and Rng(99), per registry name. Recorded once; every
+// load path must reproduce it.
+struct PinnedDigest {
+  const char* algorithm;
+  std::uint32_t digest;
+};
+// SUBSAMPLE-WOR's sample count exceeds kRows here, so it falls back to
+// SUBSAMPLE's draws and shares its digest.
+constexpr PinnedDigest kPinnedDigests[] = {
+    {"RELEASE-DB", 0x4717e7a9u},
+    {"RELEASE-ANSWERS", 0x58fd0d6au},
+    {"SUBSAMPLE", 0xad611428u},
+    {"SUBSAMPLE-WOR", 0xad611428u},
+    {"IMPORTANCE-SAMPLE", 0xbbebe456u},
+    {"STREAM-SUBSAMPLE", 0x7cb5278bu},
+    {"STREAM-STRATIFIED", 0x767f0ed5u},
+    {"STREAM-IMPORTANCE", 0xcc8f27c0u},
+    {"MEDIAN-BOOST(SUBSAMPLE)", 0x7de4452eu},
+};
+
+/// The pinned digest for registry name `name`, or nullptr.
+const PinnedDigest* FindPinnedDigest(const std::string& name) {
+  for (const PinnedDigest& entry : kPinnedDigests) {
+    if (name == entry.algorithm) return &entry;
+  }
+  return nullptr;
+}
 
 class MappedVsCopiedTest : public testing::TestWithParam<std::string> {};
 
@@ -134,6 +183,15 @@ TEST_P(MappedVsCopiedTest, AnswersBitIdenticalAcrossLoadPaths) {
   copied->are_frequent(queries, &copied_bits);
   ASSERT_EQ(mapped_bits, copied_bits);
 
+  // Every load path reproduces the recorded answers, bit for bit.
+  const PinnedDigest* pin = FindPinnedDigest(name);
+  ASSERT_NE(pin, nullptr) << "no pinned digest for " << name
+                          << "; the built engine reads 0x" << std::hex
+                          << AnswerDigest(*built, queries);
+  EXPECT_EQ(AnswerDigest(*built, queries), pin->digest) << "built";
+  EXPECT_EQ(AnswerDigest(*mapped, queries), pin->digest) << "mapped";
+  EXPECT_EQ(AnswerDigest(*copied, queries), pin->digest) << "copied";
+
   // Scalar entry points agree with the batch (and across paths).
   ASSERT_EQ(mapped->estimate(queries[0]), copied->estimate(queries[0]));
   ASSERT_EQ(mapped->is_frequent(queries[0]), copied->is_frequent(queries[0]));
@@ -162,7 +220,8 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, MappedVsCopiedTest,
                          testing::ValuesIn(Engine::KnownAlgorithms()),
                          [](const auto& info) { return Sanitize(info.param); });
 
-// Indicator-flavored sketches exercise LoadIndicatorFromColumns.
+// Indicator-flavored sketches exercise the mapped indicator view: the
+// default threshold rule over the borrowed column section.
 TEST(MappedLoadTest, IndicatorFlavorBitIdenticalAcrossLoadPaths) {
   const core::Database db = TestDb();
   util::Rng rng(5);
@@ -180,6 +239,12 @@ TEST(MappedLoadTest, IndicatorFlavorBitIdenticalAcrossLoadPaths) {
   mapped->are_frequent(queries, &mapped_bits);
   copied->are_frequent(queries, &copied_bits);
   EXPECT_EQ(mapped_bits, copied_bits);
+
+  // AnswerDigest recorded for this sketch; every load path reproduces it.
+  constexpr std::uint32_t kIndicatorDigest = 0xca70720eu;
+  EXPECT_EQ(AnswerDigest(*built, queries), kIndicatorDigest) << "built";
+  EXPECT_EQ(AnswerDigest(*mapped, queries), kIndicatorDigest) << "mapped";
+  EXPECT_EQ(AnswerDigest(*copied, queries), kIndicatorDigest) << "copied";
 }
 
 // ---------------------------------------------------------------------
